@@ -62,7 +62,6 @@ class RunConfig:
     seed: int = 0
     fmt: str = "text"
     bits: bool = False
-    tol: float | None = None
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", dest="fmt", choices=["text", "csv", "json"], default="text")
     p.add_argument("--bits", action="store_true")
-    p.add_argument("--tol", type=float, default=None)
     sub = p.add_subparsers(dest="command")
 
     sp = sub.add_parser("spectrum", help="symplectic eigenvalues of an SPD matrix")
@@ -353,10 +351,8 @@ def _cmd_spectrum(args, cfg: RunConfig, out) -> int:
 
 def _cmd_decompose(args, cfg: RunConfig, out) -> int:
     fac = williamson(_load_matrix(args.matrix))
-    tol = RESIDUAL_TOL if cfg.tol is None else cfg.tol
-    ok = fac.residual_diag <= tol * max(1.0, float(np.max(np.abs(fac.d)))) and (
-        fac.residual_symp <= tol
-    )
+    scale = max(1.0, float(np.max(np.abs(fac.d))))
+    ok = fac.residual_diag <= RESIDUAL_TOL * scale and fac.residual_symp <= RESIDUAL_TOL
     if cfg.fmt == "json":
         out.write(
             _json_value(
@@ -549,7 +545,6 @@ def run(argv=None, out=None) -> int:
             seed=args.seed,
             fmt=args.fmt,
             bits=args.bits,
-            tol=args.tol,
         )
         return _COMMANDS[args.command](args, cfg, out)
     except SympspecError as exc:

@@ -214,6 +214,8 @@ def sym_eig(a) -> Spectrum:
     """
     m = _require_symmetric(_require_square(as_matrix(a)))
     n = m.shape[0]
+    if n == 0:
+        return Spectrum(eigenvalues=np.zeros(0), eigenvectors=np.zeros((0, 0)))
     work = np.ascontiguousarray(m.copy())
     vecs = np.eye(n)
     off_tol = JACOBI_OFF_TOL * float(np.sqrt(np.sum(work * work)))
@@ -234,6 +236,20 @@ def sym_eig(a) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
+def _spd_spectrum(a, name: str = "") -> Spectrum:
+    # sym_eig(a), raising NotPositiveDefinite unless the smallest eigenvalue
+    # clears TOL_PD relative to the largest magnitude; an empty matrix fails.
+    spec = sym_eig(a)
+    vals = spec.eigenvalues
+    if vals.size == 0 or vals[0] <= TOL_PD * float(np.max(np.abs(vals))):
+        smallest = vals[0] if vals.size else float("nan")
+        prefix = f"{name}: " if name else ""
+        raise NotPositiveDefinite(
+            f"{prefix}smallest eigenvalue {smallest:.6e} is not positive"
+        )
+    return spec
+
+
 def psd_sqrt(a) -> np.ndarray:
     """Symmetric PSD square root via the Jacobi eigendecomposition.
 
@@ -252,14 +268,8 @@ def psd_sqrt(a) -> np.ndarray:
 
 def spd_inverse(a) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix."""
-    spec = sym_eig(a)
+    spec = _spd_spectrum(a)
     vals, vecs = spec.eigenvalues, spec.eigenvectors
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if vals.size == 0 or vals[0] <= TOL_PD * scale:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {vals[0] if vals.size else float('nan'):.6e} "
-            f"is not positive"
-        )
     w = (vecs / vals) @ vecs.T
     return (w + w.T) / 2.0
 
@@ -298,12 +308,5 @@ def identity_norm(n: int, kind: NormKind) -> float:
 
 def condition_number(a) -> float:
     """lambda_max / lambda_min of a symmetric positive definite matrix."""
-    spec = sym_eig(a)
-    vals = spec.eigenvalues
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if vals.size == 0 or vals[0] <= TOL_PD * scale:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {vals[0] if vals.size else float('nan'):.6e} "
-            f"is not positive"
-        )
+    vals = _spd_spectrum(a).eigenvalues
     return float(vals[-1] / vals[0])

@@ -26,6 +26,7 @@ from .densemat import (
     sym_eig,
     _require_square,
     _require_symmetric,
+    _spd_spectrum,
     TOL_PD,
 )
 from .errors import (
@@ -33,9 +34,9 @@ from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     NotInvertible,
-    NotPositiveDefinite,
     OutOfValidityRange,
     PreconditionViolated,
+    SympspecError,
     ZeroGap,
 )
 from .symplectic import (
@@ -47,7 +48,7 @@ from .symplectic import (
 
 HOLDS_SLACK = 1e-12          # slack in the holds comparison, times max(1, rhs)
 SLOPE_FLOOR = 1e-14          # grid points below this lhs are left out of fits
-COUNTEREXAMPLE_SCAN_CAP = 10_000_000
+COUNTEREXAMPLE_SCAN_CAP = 10_000_000   # x0 beyond this x is reported as None
 
 # The fixed direction used by the scaling counterexample; its two singular
 # values coincide at sqrt(29).
@@ -123,23 +124,14 @@ class PerturbationCase:
         if e_norm == 0.0:
             raise OutOfValidityRange("E must be nonzero")
         e = e / e_norm
-        _assert_spd(m, "M")
-        _assert_spd(m + self.epsilon * e, "M + epsilon E")
+        _spd_spectrum(m, "M")
+        _spd_spectrum(m + self.epsilon * e, "M + epsilon E")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "epsilon", float(self.epsilon))
 
     def perturbed(self) -> np.ndarray:
         return self.m + self.epsilon * self.e
-
-
-def _assert_spd(m: np.ndarray, name: str) -> np.ndarray:
-    vals = sym_eig(m).eigenvalues
-    if vals[0] <= TOL_PD * float(np.max(np.abs(vals))):
-        raise NotPositiveDefinite(
-            f"{name}: smallest eigenvalue {vals[0]:.6e} is not positive"
-        )
-    return vals
 
 
 def _spd_pair(m, mp):
@@ -217,19 +209,7 @@ def counterexample_scaling(x: float, epsilon: float, c: float) -> BoundReport:
     lhs = c * epsilon * math.sqrt(29.0)
     rhs = abs(d0 - de)
 
-    # Direct integer scan for the smallest x at which the firing inequality
-    # 2 sqrt(29 x) c eps <= 29 eps^2 (1 + c^2) + 2 eps (x - 1) is met,
-    # evaluated in chunks to keep large-c scans fast.
-    x0 = None
-    chunk = 100_000
-    for lo in range(1, COUNTEREXAMPLE_SCAN_CAP + 1, chunk):
-        xs = np.arange(lo, min(lo + chunk, COUNTEREXAMPLE_SCAN_CAP + 1), dtype=np.float64)
-        left = 2.0 * np.sqrt(29.0 * xs) * c * epsilon
-        right = 29.0 * epsilon * epsilon * (1.0 + c * c) + 2.0 * epsilon * (xs - 1.0)
-        hits = np.nonzero(left <= right)[0]
-        if hits.size:
-            x0 = int(xs[hits[0]])
-            break
+    x0 = _counterexample_x0(epsilon, c)
     return BoundReport(
         lhs=lhs,
         rhs=rhs,
@@ -240,6 +220,30 @@ def counterexample_scaling(x: float, epsilon: float, c: float) -> BoundReport:
         label="counterexample_scaling",
         details={"d_unperturbed": d0, "d_perturbed": de, "x0": x0},
     )
+
+
+def _counterexample_x0(epsilon: float, c: float) -> int | None:
+    # Smallest integer x >= 1 meeting the firing inequality
+    # 2 sqrt(29 x) c eps <= 29 eps^2 (1 + c^2) + 2 eps (x - 1), or None past
+    # COUNTEREXAMPLE_SCAN_CAP. In s = sqrt(x) it reads f(s) >= 0 with
+    # f(s) = s^2 - sqrt(29) c s + 29 eps (1 + c^2) / 2 - 1. When x = 1 does
+    # not fire, 1 lies between the roots of f, so x0 is the first integer
+    # past the larger root s+; the float inequality itself decides, walking
+    # up from just below s+^2.
+    def fires(x: float) -> bool:
+        left = 2.0 * math.sqrt(29.0 * x) * c * epsilon
+        return left <= 29.0 * epsilon * epsilon * (1.0 + c * c) + 2.0 * epsilon * (x - 1.0)
+
+    if fires(1.0):
+        return 1
+    q = 29.0 * epsilon * (1.0 + c * c) / 2.0 - 1.0
+    s_plus = (math.sqrt(29.0) * c + math.sqrt(max(29.0 * c * c - 4.0 * q, 0.0))) / 2.0
+    x = max(2, int(min(s_plus * s_plus, COUNTEREXAMPLE_SCAN_CAP)) - 2)
+    while x <= COUNTEREXAMPLE_SCAN_CAP:
+        if fires(float(x)):
+            return x
+        x += 1
+    return None
 
 
 def _signed_spectral_gap(d: np.ndarray) -> float:
@@ -330,50 +334,29 @@ def bound_gram(case: PerturbationCase) -> BoundReport:
 
 def _min_opnorm_over_rotations(s, sp, angles):
     # min over the angle grid of ||S - S' R(theta1, theta2)||_op for the
-    # per-mode rotation family of a two-mode system.
-    best = np.inf
-    n_ang = angles.shape[0]
-    d = np.empty((4, 4))
-    for i in range(n_ang):
-        c1 = np.cos(angles[i])
-        s1 = np.sin(angles[i])
-        for j in range(n_ang):
-            c2 = np.cos(angles[j])
-            s2 = np.sin(angles[j])
-            for r in range(4):
-                d[r, 0] = s[r, 0] - (c1 * sp[r, 0] + s1 * sp[r, 2])
-                d[r, 2] = s[r, 2] - (-s1 * sp[r, 0] + c1 * sp[r, 2])
-                d[r, 1] = s[r, 1] - (c2 * sp[r, 1] + s2 * sp[r, 3])
-                d[r, 3] = s[r, 3] - (-s2 * sp[r, 1] + c2 * sp[r, 3])
-            g = d.T @ d
-            lam_max = _power_lam_max(g)
-            if lam_max < best:
-                best = lam_max
-    return np.sqrt(best)
-
-
-def _power_lam_max(g):
-    # Largest eigenvalue of a 4x4 symmetric PSD matrix by power iteration;
-    # deterministic start, plenty of accuracy for a grid scan.
-    v = np.ones(4)
-    lam = 0.0
+    # per-mode rotation family of a two-mode system, as lambda_max(D^T D) of
+    # every D = S - S' R at once: 60 power steps from a deterministic start,
+    # plenty of accuracy for a grid scan. theta1 runs along axis 0, theta2
+    # along axis 1.
+    c = np.cos(angles)
+    sn = np.sin(angles)
+    c1, s1 = c[:, None, None], sn[:, None, None]
+    c2, s2 = c[None, :, None], sn[None, :, None]
+    d = np.empty((angles.shape[0], angles.shape[0], 4, 4))
+    d[..., 0] = s[:, 0] - (c1 * sp[:, 0] + s1 * sp[:, 2])
+    d[..., 2] = s[:, 2] - (-s1 * sp[:, 0] + c1 * sp[:, 2])
+    d[..., 1] = s[:, 1] - (c2 * sp[:, 1] + s2 * sp[:, 3])
+    d[..., 3] = s[:, 3] - (-s2 * sp[:, 1] + c2 * sp[:, 3])
+    d = d.reshape(-1, 4, 4)
+    g = np.matmul(d.transpose(0, 2, 1), d)
+    v = np.ones((g.shape[0], 4, 1))
+    dead = np.zeros(g.shape[0], dtype=bool)  # ||G v|| = 0 reached; reported as 0
     for _ in range(60):
-        w = g @ v
-        nw = np.sqrt(w @ w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam = nw
-    return lam
-
-
-try:
-    from numba import njit
-
-    _power_lam_max = njit(cache=True)(_power_lam_max)
-    _min_opnorm_over_rotations = njit(cache=True)(_min_opnorm_over_rotations)
-except ImportError:  # numba is optional; the same code runs as plain Python
-    pass
+        w = np.matmul(g, v)
+        nw = np.sqrt(np.matmul(w.transpose(0, 2, 1), w)[:, 0, 0])
+        dead |= nw == 0.0
+        np.divide(w, nw[:, None, None], out=v, where=~dead[:, None, None])
+    return np.sqrt(np.min(np.where(dead, 0.0, nw)))
 
 
 def degenerate_demo(epsilon: float) -> DegenerateDemoReport:
@@ -398,11 +381,7 @@ def degenerate_demo(epsilon: float) -> DegenerateDemoReport:
     s_dist = norm(fac.S - fac_p.S, NormKind.OPERATOR)
 
     angles = np.arange(360) * (2.0 * math.pi / 360.0)
-    aligned_dist = float(
-        _min_opnorm_over_rotations(
-            np.ascontiguousarray(fac.S), np.ascontiguousarray(fac_p.S), angles
-        )
-    )
+    aligned_dist = float(_min_opnorm_over_rotations(fac.S, fac_p.S, angles))
 
     gram = spd_inverse(fac.S @ fac.S.T)
     gram_p = spd_inverse(fac_p.S @ fac_p.S.T)
@@ -493,7 +472,7 @@ def check_kappa_growth(m, e, epsilon: float) -> BoundReport:
     if e_norm == 0.0:
         raise OutOfValidityRange("E must be nonzero")
     pert = pert / e_norm
-    vals = _assert_spd(mat, "M")
+    vals = _spd_spectrum(mat, "M").eigenvalues
     lam_min, lam_max = float(vals[0]), float(vals[-1])
     if 1.0 / lam_min > 1.0 / (2.0 * epsilon):
         raise PreconditionViolated(
@@ -642,7 +621,7 @@ def sweep(m, e, eps_grid, bound: str, kind: NormKind = NormKind.OPERATOR) -> Swe
     for eps in grid:
         try:
             points.append((eps, fn(mat, pert, eps, kind)))
-        except Exception as exc:  # recorded, not fatal
+        except SympspecError as exc:  # recorded, not fatal; anything else is a bug
             failures.append((eps, f"{type(exc).__name__}: {exc}"))
     fit = [(math.log(eps), math.log(r.lhs)) for eps, r in points if r.lhs > SLOPE_FLOOR]
     slope = None

@@ -22,12 +22,11 @@ from .densemat import (
     sym_eig,
     _require_square,
     _require_symmetric,
-    TOL_PD,
+    _spd_spectrum,
 )
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
-    NotPositiveDefinite,
     OddDimension,
     PairingFailure,
     ZeroModes,
@@ -85,16 +84,6 @@ def is_symplectic(s, tol: float = RESIDUAL_TOL) -> bool:
     n = _even_dim(m)
     sigma = standard_form(n)
     return norm(m.T @ sigma @ m - sigma, NormKind.OPERATOR) <= tol
-
-
-def _spd_spectrum(m: np.ndarray):
-    spec = sym_eig(m)
-    vals = spec.eigenvalues
-    if vals[0] <= TOL_PD * float(np.max(np.abs(vals))):
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {vals[0]:.6e} is not positive"
-        )
-    return spec
 
 
 def symplectic_spectrum(m) -> np.ndarray:

@@ -216,6 +216,23 @@ class TestConditionNumber:
             condition_number(np.diag([1.0, -2.0]))
 
 
+class TestEmptyMatrix:
+    def test_empty_results(self):
+        z = np.zeros((0, 0))
+        spec = sym_eig(z)
+        assert spec.eigenvalues.shape == (0,)
+        assert spec.eigenvectors.shape == (0, 0)
+        assert singular_values(z).shape == (0,)
+        assert psd_sqrt(z).shape == (0, 0)
+        for kind in NormKind:
+            assert norm(z, kind) == 0.0
+
+    def test_positive_definite_routines_refuse(self):
+        for fn in (spd_inverse, condition_number):
+            with pytest.raises(NotPositiveDefinite):
+                fn(np.zeros((0, 0)))
+
+
 def _jacobi_cases():
     """(matrix, max_sweeps) pairs; every matrix is exactly symmetric."""
     rng = np.random.default_rng(55)

@@ -16,6 +16,7 @@ from sympspec.errors import (
 )
 from sympspec.perturb import (
     COUNTEREXAMPLE_E,
+    SWEEPABLE,
     PerturbationCase,
     bound_S,
     bound_bhatia_jain,
@@ -30,6 +31,7 @@ from sympspec.perturb import (
     counterexample_scaling,
     degenerate_demo,
     sweep,
+    _min_opnorm_over_rotations,
 )
 from sympspec.symplectic import symplectic_spectrum, williamson
 
@@ -107,6 +109,26 @@ class TestCounterexampleScaling:
 
     def test_does_not_fire_at_one(self):
         assert not counterexample_scaling(1.0, 0.05, 1.0).holds
+
+    def test_x0_matches_direct_scan(self):
+        # x0 is the first integer x >= 1 at which the firing inequality holds.
+        xs = np.arange(1, 1_000_001, dtype=np.float64)
+        rng = np.random.default_rng(88)
+        pairs = [(0.05, 0.1), (0.05, 1.0), (1e-4, 100.0)] + list(
+            zip(10.0 ** rng.uniform(-5.0, -1.1, 30), 10.0 ** rng.uniform(-1.0, 2.0, 30))
+        )
+        found = []
+        for eps, c in pairs:
+            eps, c = float(eps), float(c)
+            left = 2.0 * np.sqrt(29.0 * xs) * c * eps
+            right = 29.0 * eps * eps * (1.0 + c * c) + 2.0 * eps * (xs - 1.0)
+            expected = int(xs[np.nonzero(left <= right)[0][0]])
+            assert counterexample_scaling(50.0, eps, c).details["x0"] == expected
+            found.append(expected)
+        assert found[0] == 1 and found[2] > 200_000
+
+    def test_x0_beyond_scan_cap_is_none(self):
+        assert counterexample_scaling(50.0, 1e-4, 1000.0).details["x0"] is None
 
     def test_closed_forms_match_library(self):
         x, eps = 33.0, 0.05
@@ -191,16 +213,72 @@ class TestBoundGram:
         assert abs(lhs_rev - r1.lhs) <= 1e-8
 
 
+def _demo_pair(eps):
+    block = np.array([[1.0, eps], [eps, 1.0]])
+    m = np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), block]])
+    mp = np.diag([1 + eps, 1 - eps, 1 + eps, 1 - eps])
+    return m, mp
+
+
+def _loop_min_opnorm(s, sp, angles):
+    # Per-angle reference for the gauge scan: D = S - S' R(theta1, theta2)
+    # entry by entry, then 60 power steps on D^T D from a vector of ones.
+    best = np.inf
+    for t1 in angles:
+        c1, s1 = np.cos(t1), np.sin(t1)
+        for t2 in angles:
+            c2, s2 = np.cos(t2), np.sin(t2)
+            d = np.empty((4, 4))
+            for r in range(4):
+                d[r, 0] = s[r, 0] - (c1 * sp[r, 0] + s1 * sp[r, 2])
+                d[r, 2] = s[r, 2] - (-s1 * sp[r, 0] + c1 * sp[r, 2])
+                d[r, 1] = s[r, 1] - (c2 * sp[r, 1] + s2 * sp[r, 3])
+                d[r, 3] = s[r, 3] - (-s2 * sp[r, 1] + c2 * sp[r, 3])
+            g = d.T @ d
+            v = np.ones(4)
+            lam = 0.0
+            for _ in range(60):
+                w = g @ v
+                nw = np.sqrt(w @ w)
+                if nw == 0.0:
+                    lam = 0.0
+                    break
+                v = w / nw
+                lam = nw
+            best = min(best, lam)
+    return np.sqrt(best)
+
+
 class TestDegenerateDemo:
     def test_commutator_positive(self):
         rep = degenerate_demo(1e-3)
         assert rep.commutator_norm > 0.0
 
-    def test_matrices_spd_and_residuals(self):
+    def test_aligned_distance_is_grid_minimum(self):
+        # The scan's power iteration against a full SVD over the same grid.
         eps = 1e-3
-        block = np.array([[1.0, eps], [eps, 1.0]])
-        m = np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), block]])
-        mp = np.diag([1 + eps, 1 - eps, 1 + eps, 1 - eps])
+        m, mp = _demo_pair(eps)
+        s, sp = williamson(m).S, williamson(mp).S
+        angles = np.arange(360) * (2.0 * math.pi / 360.0)
+        c1, s1 = np.cos(angles)[:, None], np.sin(angles)[:, None]
+        c2, s2 = np.cos(angles)[None, :], np.sin(angles)[None, :]
+        rot = np.zeros((360, 360, 4, 4))
+        rot[..., 0, 0], rot[..., 2, 0], rot[..., 0, 2], rot[..., 2, 2] = c1, s1, -s1, c1
+        rot[..., 1, 1], rot[..., 3, 1], rot[..., 1, 3], rot[..., 3, 3] = c2, s2, -s2, c2
+        svd_min = float(np.min(np.linalg.svd(s - sp @ rot, compute_uv=False)[..., 0]))
+        rep = degenerate_demo(eps)
+        assert rep.s_dist_aligned_over_gauge_family == pytest.approx(svd_min, rel=1e-12)
+
+    def test_gauge_scan_matches_loop_bitwise(self):
+        m, mp = _demo_pair(1e-3)
+        s, sp = williamson(m).S, williamson(mp).S
+        angles = np.arange(0, 360, 15) * (2.0 * math.pi / 360.0)
+        assert _min_opnorm_over_rotations(s, sp, angles) == _loop_min_opnorm(s, sp, angles)
+        # S' = S makes D = 0 at zero angles, the power iteration's early exit
+        assert _min_opnorm_over_rotations(s, s, angles) == 0.0 == _loop_min_opnorm(s, s, angles)
+
+    def test_matrices_spd_and_residuals(self):
+        m, mp = _demo_pair(1e-3)
         for mat in (m, mp):
             assert np.linalg.eigvalsh(mat)[0] > 0
             fac = williamson(mat)
@@ -357,6 +435,15 @@ class TestSweep:
         assert len(rep.grid) == 0
         assert len(rep.errors) == 2
         assert rep.slope is None
+
+    def test_non_library_error_propagates(self, monkeypatch):
+        # only SympspecError is a recorded per-point failure; anything else is a bug
+        def broken(m, e, eps, kind):
+            raise TypeError("not a domain error")
+
+        monkeypatch.setitem(SWEEPABLE, "spectrum", broken)
+        with pytest.raises(TypeError):
+            sweep(np.eye(2), np.eye(2), [1e-3], "spectrum")
 
     def test_rejects_bad_grid(self):
         with pytest.raises(OutOfValidityRange):

@@ -9,7 +9,10 @@ plain float64 numpy arrays.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +35,16 @@ TOL_EIG = 1e-12    # eigenpair residual promise of sym_eig
 
 JACOBI_OFF_TOL = 1e-14   # off-diagonal Frobenius target, relative to ||A||_F
 JACOBI_MAX_SWEEPS = 100
+
+# Spectra one call's memo keeps: the largest working set, one s_stability
+# sweep point, reuses 7 while making 8 new; a long sweep holds no more.
+SOLVE_MEMO_CAPACITY = 16
+
+# The memo of the outermost _reuses_solves call running in this context, or
+# None outside any; sym_eig does no memo work when it is None.
+_solve_memo: contextvars.ContextVar = contextvars.ContextVar(
+    "sympspec_solve_memo", default=None
+)
 
 
 class NormKind(Enum):
@@ -205,18 +218,57 @@ def _require_symmetric(m: np.ndarray, tol_rel: float = TOL_SYM) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
+def _reuses_solves(fn):
+    # Decorator: every sym_eig call under the outermost decorated call shares
+    # one memo, so a matrix solved twice within that call is solved once.
+    # Nested decorated calls join the open memo; it is dropped on return.
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if _solve_memo.get() is not None:
+            return fn(*args, **kwargs)
+        token = _solve_memo.set(OrderedDict())
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _solve_memo.reset(token)
+
+    return wrapper
+
+
+def _binary_exponent(m: np.ndarray, even: bool = False) -> int:
+    # 0 when the largest entry magnitude lies in [2^-256, 2^256] (or m is
+    # zero), where sums of squares neither overflow nor underflow; otherwise
+    # the power of two (even if asked) whose inverse brings it near 1.
+    # Scaling by a power of two is exact, and Jacobi commutes with it bit for bit.
+    amax = float(np.max(np.abs(m))) if m.size else 0.0
+    if amax == 0.0 or 2.0 ** -256 <= amax <= 2.0 ** 256:
+        return 0
+    e = math.frexp(amax)[1]
+    return e + (e & 1) if even else e
+
+
 def sym_eig(a) -> Spectrum:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
 
     Deterministic: fixed sweep order, ascending eigenvalues, and a sign
     convention that makes the largest-magnitude component of every
-    eigenvector positive (ties broken by lowest index).
+    eigenvector positive (ties broken by lowest index). Within one call of a
+    public function that solves the same matrix more than once, repeats
+    return copies of the first solve, which are the same bits.
     """
     m = _require_symmetric(_require_square(as_matrix(a)))
     n = m.shape[0]
     if n == 0:
         return Spectrum(eigenvalues=np.zeros(0), eigenvectors=np.zeros((0, 0)))
-    work = np.ascontiguousarray(m.copy())
+    memo = _solve_memo.get()
+    if memo is not None:
+        key = m.tobytes()
+        hit = memo.get(key)
+        if hit is not None:
+            memo.move_to_end(key)
+            return Spectrum(eigenvalues=hit[0].copy(), eigenvectors=hit[1].copy())
+    exp = _binary_exponent(m)
+    work = np.ascontiguousarray(np.ldexp(m, -exp))
     vecs = np.eye(n)
     off_tol = JACOBI_OFF_TOL * float(np.sqrt(np.sum(work * work)))
     converged, _ = _jacobi_kernel(work, vecs, off_tol, JACOBI_MAX_SWEEPS)
@@ -233,6 +285,11 @@ def sym_eig(a) -> Spectrum:
         lead = int(np.argmax(np.abs(vecs[:, j])))
         if vecs[lead, j] < 0.0:
             vecs[:, j] = -vecs[:, j]
+    vals = np.ldexp(vals, exp)
+    if memo is not None:
+        memo[key] = (vals.copy(), vecs.copy())
+        if len(memo) > SOLVE_MEMO_CAPACITY:
+            memo.popitem(last=False)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
@@ -277,9 +334,11 @@ def spd_inverse(a) -> np.ndarray:
 def singular_values(a) -> np.ndarray:
     """Descending singular values: square roots of the eigenvalues of A^T A."""
     m = _require_square(as_matrix(a))
+    exp = _binary_exponent(m)
+    m = np.ldexp(m, -exp)
     gram = m.T @ m
     vals = sym_eig((gram + gram.T) / 2.0).eigenvalues
-    return np.sqrt(np.clip(vals, 0.0, None))[::-1].copy()
+    return np.ldexp(np.sqrt(np.clip(vals, 0.0, None))[::-1], exp)
 
 
 def norm(a, kind: NormKind = NormKind.OPERATOR) -> float:

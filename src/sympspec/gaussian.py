@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import NormKind, as_matrix, condition_number, norm, _require_square, _require_symmetric
+from .densemat import (
+    NormKind,
+    as_matrix,
+    condition_number,
+    norm,
+    _require_square,
+    _require_symmetric,
+    _reuses_solves,
+)
 from .errors import BadIndices, DimensionMismatch, InvalidCovariance, NotInterior
 from .perturb import BoundReport
 from .symplectic import symplectic_spectrum
@@ -123,6 +131,7 @@ def entanglement_entropy(cov) -> EntropyReport:
     )
 
 
+@_reuses_solves
 def entropy_difference_bound(cov, cov2) -> BoundReport:
     """Trace-norm continuity bound on the entropy difference.
 

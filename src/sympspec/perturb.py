@@ -26,6 +26,7 @@ from .densemat import (
     sym_eig,
     _require_square,
     _require_symmetric,
+    _reuses_solves,
     _spd_spectrum,
     TOL_PD,
 )
@@ -142,6 +143,7 @@ def _spd_pair(m, mp):
     return a, b
 
 
+@_reuses_solves
 def bound_spectrum(m, mp, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
     """Condition-number bound on the symplectic spectrum shift.
 
@@ -156,6 +158,7 @@ def bound_spectrum(m, mp, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
     return BoundReport.from_sides(lhs, rhs, kind, True, "spectrum")
 
 
+@_reuses_solves
 def bound_bhatia_jain(m, mp) -> BoundReport:
     """Square-root-type spectrum bound, for comparison with ``bound_spectrum``.
 
@@ -256,6 +259,7 @@ def _signed_spectral_gap(d: np.ndarray) -> float:
     return min(gaps)
 
 
+@_reuses_solves
 def bound_S(case: PerturbationCase) -> BoundReport:
     """Gap-dependent stability of the diagonalizing symplectic matrix.
 
@@ -294,6 +298,7 @@ def bound_S(case: PerturbationCase) -> BoundReport:
     )
 
 
+@_reuses_solves
 def bound_gram(case: PerturbationCase) -> BoundReport:
     """Gap-free stability of the gauge-invariant Gram factor S^{-T} S^{-1}.
 
@@ -335,28 +340,32 @@ def bound_gram(case: PerturbationCase) -> BoundReport:
 def _min_opnorm_over_rotations(s, sp, angles):
     # min over the angle grid of ||S - S' R(theta1, theta2)||_op for the
     # per-mode rotation family of a two-mode system, as lambda_max(D^T D) of
-    # every D = S - S' R at once: 60 power steps from a deterministic start,
+    # each D = S - S' R, stacked: 60 power steps from a deterministic start,
     # plenty of accuracy for a grid scan. theta1 runs along axis 0, theta2
-    # along axis 1.
+    # along axis 1. Blocks of 30 theta1 rows keep the stacks a few MB; each
+    # grid point's arithmetic does not depend on the block it falls in.
     c = np.cos(angles)
     sn = np.sin(angles)
-    c1, s1 = c[:, None, None], sn[:, None, None]
     c2, s2 = c[None, :, None], sn[None, :, None]
-    d = np.empty((angles.shape[0], angles.shape[0], 4, 4))
-    d[..., 0] = s[:, 0] - (c1 * sp[:, 0] + s1 * sp[:, 2])
-    d[..., 2] = s[:, 2] - (-s1 * sp[:, 0] + c1 * sp[:, 2])
-    d[..., 1] = s[:, 1] - (c2 * sp[:, 1] + s2 * sp[:, 3])
-    d[..., 3] = s[:, 3] - (-s2 * sp[:, 1] + c2 * sp[:, 3])
-    d = d.reshape(-1, 4, 4)
-    g = np.matmul(d.transpose(0, 2, 1), d)
-    v = np.ones((g.shape[0], 4, 1))
-    dead = np.zeros(g.shape[0], dtype=bool)  # ||G v|| = 0 reached; reported as 0
-    for _ in range(60):
-        w = np.matmul(g, v)
-        nw = np.sqrt(np.matmul(w.transpose(0, 2, 1), w)[:, 0, 0])
-        dead |= nw == 0.0
-        np.divide(w, nw[:, None, None], out=v, where=~dead[:, None, None])
-    return np.sqrt(np.min(np.where(dead, 0.0, nw)))
+    best = math.inf
+    for lo in range(0, angles.shape[0], 30):
+        c1, s1 = c[lo:lo + 30, None, None], sn[lo:lo + 30, None, None]
+        d = np.empty((c1.shape[0], angles.shape[0], 4, 4))
+        d[..., 0] = s[:, 0] - (c1 * sp[:, 0] + s1 * sp[:, 2])
+        d[..., 2] = s[:, 2] - (-s1 * sp[:, 0] + c1 * sp[:, 2])
+        d[..., 1] = s[:, 1] - (c2 * sp[:, 1] + s2 * sp[:, 3])
+        d[..., 3] = s[:, 3] - (-s2 * sp[:, 1] + c2 * sp[:, 3])
+        d = d.reshape(-1, 4, 4)
+        g = np.matmul(d.transpose(0, 2, 1), d)
+        v = np.ones((g.shape[0], 4, 1))
+        dead = np.zeros(g.shape[0], dtype=bool)  # ||G v|| = 0 reached; reported as 0
+        for _ in range(60):
+            w = np.matmul(g, v)
+            nw = np.sqrt(np.matmul(w.transpose(0, 2, 1), w)[:, 0, 0])
+            dead |= nw == 0.0
+            np.divide(w, nw[:, None, None], out=v, where=~dead[:, None, None])
+        best = min(best, float(np.min(np.where(dead, 0.0, nw))))
+    return math.sqrt(best)
 
 
 def degenerate_demo(epsilon: float) -> DegenerateDemoReport:
@@ -524,6 +533,7 @@ def check_eigvec_bound(a, b, epsilon: float) -> BoundReport:
     )
 
 
+@_reuses_solves
 def check_projection_bound(a, b, s1_range, s2_range) -> BoundReport:
     """Spectral projection overlap bound for separated eigenvalue subsets.
 
@@ -594,6 +604,7 @@ SWEEPABLE = {
 }
 
 
+@_reuses_solves
 def sweep(m, e, eps_grid, bound: str, kind: NormKind = NormKind.OPERATOR) -> SweepReport:
     """Evaluate one named bound over a strictly increasing epsilon grid.
 

@@ -9,6 +9,7 @@ computed entirely in real arithmetic from the antisymmetric kernel
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,10 @@ from .densemat import (
     psd_sqrt,
     singular_values,
     sym_eig,
+    _binary_exponent,
     _require_square,
     _require_symmetric,
+    _reuses_solves,
     _spd_spectrum,
 )
 from .errors import (
@@ -86,6 +89,7 @@ def is_symplectic(s, tol: float = RESIDUAL_TOL) -> bool:
     return norm(m.T @ sigma @ m - sigma, NormKind.OPERATOR) <= tol
 
 
+@_reuses_solves
 def symplectic_spectrum(m) -> np.ndarray:
     """Descending symplectic eigenvalues of a positive definite matrix.
 
@@ -204,6 +208,10 @@ def williamson(m, _seed_order=None) -> WilliamsonFactorization:
     """
     mat = _require_symmetric(_require_square(as_matrix(m)))
     n = _even_dim(mat)
+    # Factor M / 4^j when M's entries are extreme: S is the same, while d and
+    # residual_diag scale back by 4^j exactly.
+    exp = _binary_exponent(mat, even=True)
+    mat = np.ldexp(mat, -exp)
     spec = _spd_spectrum(mat)
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     inv_root = (vecs / np.sqrt(vals)) @ vecs.T
@@ -235,8 +243,8 @@ def williamson(m, _seed_order=None) -> WilliamsonFactorization:
     return WilliamsonFactorization(
         n_modes=n,
         S=s,
-        d=d,
-        residual_diag=residual_diag,
+        d=np.ldexp(d, exp),
+        residual_diag=math.ldexp(residual_diag, exp),
         residual_symp=residual_symp,
     )
 

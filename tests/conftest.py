@@ -5,8 +5,18 @@ deterministic run to run.
 """
 
 import numpy as np
+import pytest
 
+from sympspec import densemat
 from sympspec.symplectic import williamson
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_solve_memo():
+    """Every test starts and ends outside any eigensolve memo scope."""
+    assert densemat._solve_memo.get() is None
+    yield
+    assert densemat._solve_memo.get() is None
 
 
 def random_orthogonal(rng, n):

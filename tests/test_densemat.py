@@ -92,6 +92,31 @@ class TestSymEig:
             sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+class TestExtremeScales:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[1e200, 1e200], [1e200, 1e200]],
+            [[1e-200, 1e-200], [1e-200, 3e-200]],
+        ],
+    )
+    def test_matches_numpy_eigvalsh(self, a):
+        a = np.array(a)
+        expected = np.linalg.eigvalsh(a)
+        got = sym_eig(a).eigenvalues
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("k", [-900, -600, -520, 520, 600, 900])
+    def test_power_of_two_scaling_is_exact(self, k):
+        m = random_spd_generic(np.random.default_rng(61), 6)
+        spec, spec_k = sym_eig(m), sym_eig(np.ldexp(m, k))
+        assert np.array_equal(spec_k.eigenvalues, np.ldexp(spec.eigenvalues, k))
+        assert np.array_equal(spec_k.eigenvectors, spec.eigenvectors)
+        assert np.array_equal(
+            singular_values(np.ldexp(m, k)), np.ldexp(singular_values(m), k)
+        )
+
+
 class TestPsdSqrt:
     def test_identity(self):
         np.testing.assert_allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=0)

@@ -1,0 +1,189 @@
+"""The call-scoped eigensolve memo: fewer Jacobi runs, the same bits."""
+
+import io
+
+import numpy as np
+import pytest
+
+from conftest import random_spd, random_symmetric_unit, williamson_form
+from sympspec import cli, densemat
+from sympspec.densemat import NormKind, Spectrum, sym_eig, _reuses_solves
+from sympspec.errors import ConvergenceFailure, NotPositiveDefinite
+from sympspec.gaussian import entropy_difference_bound
+from sympspec.perturb import (
+    PerturbationCase,
+    bound_S,
+    bound_bhatia_jain,
+    bound_gram,
+    bound_spectrum,
+    check_projection_bound,
+    sweep,
+)
+from sympspec.symplectic import symplectic_spectrum, williamson
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Count Jacobi kernel runs; each entry is the memo size at that run."""
+    runs = []
+    kernel = densemat._jacobi_kernel
+
+    def counting(*args):
+        memo = densemat._solve_memo.get()
+        runs.append(None if memo is None else len(memo))
+        return kernel(*args)
+
+    monkeypatch.setattr(densemat, "_jacobi_kernel", counting)
+    return runs
+
+
+def _as_hex(obj):
+    # Every float as its exact hex form, recursively; arrays by element.
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    if isinstance(obj, np.ndarray):
+        return [_as_hex(x) for x in obj.tolist()]
+    if isinstance(obj, dict):
+        return {k: _as_hex(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_hex(x) for x in obj]
+    if hasattr(obj, "__dataclass_fields__"):
+        return {k: _as_hex(getattr(obj, k)) for k in obj.__dataclass_fields__}
+    return obj
+
+
+def _two_mode_pair():
+    m = williamson_form(np.random.default_rng(501), [3.0, 1.5])
+    e = random_symmetric_unit(np.random.default_rng(502), 4)
+    return m, e, 1e-4
+
+
+def test_symplectic_spectrum_solves_m_once(kernel_runs, monkeypatch):
+    calls = []
+    real = densemat.sym_eig
+    monkeypatch.setattr(densemat, "sym_eig", lambda a: calls.append(1) or real(a))
+    symplectic_spectrum(random_spd(np.random.default_rng(503), 4, 50.0))
+    assert len(calls) == 3
+    assert len(kernel_runs) == 2
+
+
+def test_sweep_solves_fewer_than_separate_calls(kernel_runs):
+    m, e, eps = _two_mode_pair()
+    grid = [eps / 8.0, eps / 4.0, eps / 2.0, eps]
+    report = sweep(m, e, grid, "s_stability")
+    swept = len(kernel_runs)
+    del kernel_runs[:]
+    separate = [(x, bound_S(PerturbationCase(m, e, x))) for x in grid]
+    assert swept < len(kernel_runs)
+    assert not report.errors
+    assert _as_hex(list(report.grid)) == _as_hex(separate)
+
+
+def test_back_to_back_calls_solve_again(kernel_runs):
+    m = random_spd(np.random.default_rng(504), 4, 10.0)
+    first = symplectic_spectrum(m)
+    second = symplectic_spectrum(m)
+    assert len(kernel_runs) == 4
+    assert first.tobytes() == second.tobytes()
+
+
+def test_williamson_runs_outside_any_memo(kernel_runs):
+    williamson(random_spd(np.random.default_rng(505), 4, 10.0))
+    assert kernel_runs == [None] * 5
+
+
+def test_mutating_a_returned_spectrum_leaves_later_hits_intact(kernel_runs):
+    m = random_spd(np.random.default_rng(506), 4, 10.0)
+    fresh = sym_eig(m)
+
+    @_reuses_solves
+    def solve_and_spoil_three_times():
+        out = []
+        for _ in range(3):
+            spec = sym_eig(m)
+            out.append(Spectrum(spec.eigenvalues.copy(), spec.eigenvectors.copy()))
+            spec.eigenvalues[:] = 0.0
+            spec.eigenvectors[:] = 0.0
+        return out
+
+    del kernel_runs[:]
+    for spec in solve_and_spoil_three_times():
+        assert spec.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+        assert spec.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+    assert len(kernel_runs) == 1
+
+
+def test_convergence_failure_is_not_stored(kernel_runs, monkeypatch):
+    m = random_spd(np.random.default_rng(507), 6, 10.0)
+    counting = densemat._jacobi_kernel
+    failures = [1]
+
+    def fails_once(a, v, off_tol, max_sweeps):
+        if failures:
+            failures.pop()
+            return counting(a, v, off_tol, 1)
+        return counting(a, v, off_tol, max_sweeps)
+
+    monkeypatch.setattr(densemat, "_jacobi_kernel", fails_once)
+
+    @_reuses_solves
+    def fail_then_solve():
+        with pytest.raises(ConvergenceFailure):
+            sym_eig(m)
+        return sym_eig(m)
+
+    spec = fail_then_solve()
+    assert len(kernel_runs) == 2
+    monkeypatch.setattr(densemat, "_jacobi_kernel", counting)
+    assert spec.eigenvalues.tobytes() == sym_eig(m).eigenvalues.tobytes()
+
+
+def test_long_sweep_keeps_memo_within_capacity(kernel_runs):
+    m = random_spd(np.random.default_rng(508), 4, 10.0)
+    e = random_symmetric_unit(np.random.default_rng(509), 4)
+    report = sweep(m, e, np.geomspace(1e-6, 1e-3, 200), "spectrum")
+    assert len(report.grid) == 200
+    assert max(kernel_runs) == densemat.SOLVE_MEMO_CAPACITY
+
+
+def test_memo_scope_closes_when_the_call_raises():
+    with pytest.raises(NotPositiveDefinite):
+        bound_spectrum(np.diag([1.0, -1.0]), np.eye(2))
+    assert densemat._solve_memo.get() is None
+
+
+def _decorated_outputs(tmp_path):
+    m, e, eps = _two_mode_pair()
+    mp = m + eps * e
+    case = PerturbationCase(m, e, eps)
+    g = williamson_form(np.random.default_rng(510), [2.0, 1.3])
+    g2 = williamson_form(np.random.default_rng(510), [2.0, 1.3 + 1e-3])
+    for name, mat in (("m", m), ("e", e)):
+        (tmp_path / f"{name}.txt").write_text(cli.format_matrix(mat))
+    out = io.StringIO()
+    code = cli.run(
+        ["check", "s-stability", "-m", str(tmp_path / "m.txt"),
+         "-e", str(tmp_path / "e.txt"), "--eps", repr(eps)],
+        out=out,
+    )
+    return [
+        symplectic_spectrum(m),
+        [bound_spectrum(m, mp, kind) for kind in NormKind],
+        bound_bhatia_jain(m, mp),
+        bound_S(case),
+        bound_gram(case),
+        check_projection_bound(m, mp, (0, 2), (2, 4)),
+        [sweep(m, e, [eps / 2.0, eps], bound) for bound in ("s_stability", "gram", "spectrum")],
+        entropy_difference_bound(g, g2),
+        (code, out.getvalue()),
+    ]
+
+
+def test_outputs_equal_forced_miss_bitwise(kernel_runs, tmp_path, monkeypatch):
+    with_memo = _as_hex(_decorated_outputs(tmp_path))
+    runs_with_memo = len(kernel_runs)
+    del kernel_runs[:]
+    monkeypatch.setattr(densemat, "SOLVE_MEMO_CAPACITY", 0)
+    all_miss = _as_hex(_decorated_outputs(tmp_path))
+    assert runs_with_memo < len(kernel_runs)
+    assert with_memo == all_miss

@@ -157,6 +157,18 @@ class TestWilliamson:
         s2 = williamson(7.0 * m).S
         assert norm(s1 - s2, NormKind.OPERATOR) <= 1e-8
 
+    @pytest.mark.parametrize("k", [-900, -600, -520, 520, 600, 900])
+    def test_extreme_power_of_two_scaling_is_exact(self, k):
+        m = random_spd_generic(np.random.default_rng(46), 6)
+        fac, fac_k = williamson(m), williamson(np.ldexp(m, k))
+        assert np.array_equal(fac_k.S, fac.S)
+        assert np.array_equal(fac_k.d, np.ldexp(fac.d, k))
+        assert fac_k.residual_diag == np.ldexp(fac.residual_diag, k)
+        assert fac_k.residual_symp == fac.residual_symp
+        assert np.array_equal(
+            symplectic_spectrum(np.ldexp(m, k)), np.ldexp(symplectic_spectrum(m), k)
+        )
+
     def test_degenerate_spectrum_still_factorizes(self):
         rng = np.random.default_rng(45)
         s = random_symplectic(rng, 2)

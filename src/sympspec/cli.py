@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import NormKind, as_matrix, _reuses_solves
+from .densemat import NormKind, as_matrix
 from .errors import (
     ParseError,
     RaggedRows,
@@ -529,7 +529,6 @@ _COMMANDS = {
 }
 
 
-@_reuses_solves
 def run(argv=None, out=None) -> int:
     """Parse arguments, execute one command, and return the exit code.
 

@@ -345,7 +345,9 @@ def norm(a, kind: NormKind = NormKind.OPERATOR) -> float:
     """Unitarily invariant norm of a square matrix."""
     m = _require_square(as_matrix(a))
     if kind is NormKind.FROBENIUS:
-        return float(np.sqrt(np.sum(m * m)))
+        exp = _binary_exponent(m)
+        m = np.ldexp(m, -exp)
+        return float(np.ldexp(np.sqrt(np.sum(m * m)), exp))
     s = singular_values(m)
     if kind is NormKind.OPERATOR:
         return float(s[0]) if s.size else 0.0

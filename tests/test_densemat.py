@@ -116,6 +116,12 @@ class TestExtremeScales:
             singular_values(np.ldexp(m, k)), np.ldexp(singular_values(m), k)
         )
 
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_norms_scale_exactly(self, k):
+        m = random_spd_generic(np.random.default_rng(62), 6)
+        for kind in NormKind:
+            assert norm(np.ldexp(m, k), kind) == np.ldexp(norm(m, kind), k)
+
 
 class TestPsdSqrt:
     def test_identity(self):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,32 +52,65 @@ _NON_BINDING_LABELS = {"counterexample_scaling", "entropy_difference"}
 
 _UNSET = object()
 
+# Every bound the CLI offers: its perturb.SWEEPABLE name (None when only
+# `check` runs it), the flags `check` needs after -m in the order they are
+# required, and the checker, called with M, those flags' values and the norm.
+_BOUNDS = {
+    "spectrum": (
+        "spectrum", ("-p",),
+        lambda m, p, kind: bound_spectrum(m, p, kind),
+    ),
+    "bhatia-jain": (
+        "bhatia_jain", ("-p",),
+        lambda m, p, kind: bound_bhatia_jain(m, p),
+    ),
+    "s-stability": (
+        "s_stability", ("--eps", "-e"),
+        lambda m, eps, e, kind: bound_S(PerturbationCase(m, e, eps)),
+    ),
+    "gram": (
+        "gram", ("--eps", "-e"),
+        lambda m, eps, e, kind: bound_gram(PerturbationCase(m, e, eps)),
+    ),
+    "sqrt": (
+        "sqrt_lemma", ("-p",),
+        lambda m, p, kind: check_sqrt_lemma(m, p, kind),
+    ),
+    "inv": (
+        "inv_lemma", ("-p",),
+        lambda m, p, kind: check_inv_lemma(m, p, kind),
+    ),
+    "woodbury": (
+        "woodbury", ("--eps", "-e"),
+        lambda m, eps, e, kind: check_woodbury_norm(m, e, eps),
+    ),
+    "kappa-growth": (
+        "kappa_growth", ("--eps", "-e"),
+        lambda m, eps, e, kind: check_kappa_growth(m, e, eps),
+    ),
+    "eigvec": (
+        "eigvec", ("-p", "--eps"),
+        lambda m, p, eps, kind: check_eigvec_bound(m, p, eps),
+    ),
+    "projection": (
+        None, ("-p", "--s1", "--s2"),
+        lambda m, p, s1, s2, kind: check_projection_bound(m, p, s1, s2),
+    ),
+    "entropy-diff": (
+        None, ("-p",),
+        lambda m, p, kind: entropy_difference_bound(m, p),
+    ),
+}
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Options shared by every command."""
 
-    norm_kind: NormKind = NormKind.OPERATOR
-    seed: int = 0
-    fmt: str = "text"
-    bits: bool = False
-
-
-@dataclass(frozen=True)
-class MatrixFile:
-    """A parsed matrix together with its source path."""
-
-    path: str
-    matrix: np.ndarray
-
-    @classmethod
-    def load(cls, path) -> "MatrixFile":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
-        return cls(path=str(path), matrix=parse_matrix(text))
+def load_matrix(path) -> np.ndarray:
+    """Read and parse a matrix file; ParseError if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return parse_matrix(text)
 
 
 def fmt_float(x) -> str:
@@ -243,22 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("matrix")
 
     ck = sub.add_parser("check", help="evaluate one named bound")
-    ck.add_argument(
-        "bound",
-        choices=[
-            "spectrum",
-            "bhatia-jain",
-            "s-stability",
-            "gram",
-            "sqrt",
-            "inv",
-            "woodbury",
-            "kappa-growth",
-            "eigvec",
-            "projection",
-            "entropy-diff",
-        ],
-    )
+    ck.add_argument("bound", choices=list(_BOUNDS))
     ck.add_argument("-m", "--matrix", required=True)
     ck.add_argument("-p", "--second")
     ck.add_argument("-e", "--perturbation")
@@ -267,20 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--s2")
 
     sw = sub.add_parser("sweep", help="evaluate one bound across an epsilon grid")
-    sw.add_argument(
-        "bound",
-        choices=[
-            "spectrum",
-            "bhatia-jain",
-            "s-stability",
-            "gram",
-            "sqrt",
-            "inv",
-            "woodbury",
-            "kappa-growth",
-            "eigvec",
-        ],
-    )
+    sw.add_argument("bound", choices=[name for name, row in _BOUNDS.items() if row[0]])
     sw.add_argument("-m", "--matrix", required=True)
     sw.add_argument("-e", "--perturbation")
     sw.add_argument("--eps", required=True, help="a:b:k geometric grid or comma list")
@@ -296,16 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     dd = sub.add_parser("demo-degenerate", help="near-degenerate 4x4 stability demo")
     dd.add_argument("--eps", type=float, required=True)
     return p
-
-
-def _load_matrix(path: str) -> np.ndarray:
-    return MatrixFile.load(path).matrix
-
-
-def _require_arg(value, flag: str, command: str):
-    if value is None:
-        raise ParseError(f"{command} requires {flag}")
-    return value
 
 
 def _parse_eps_grid(spec: str):
@@ -334,26 +328,40 @@ def _parse_index_range(spec: str, flag: str):
         raise ParseError(f"{flag} must be start:stop") from exc
 
 
-def _entropy_scale(cfg: RunConfig) -> float:
-    return 1.0 / np.log(2.0) if cfg.bits else 1.0
+# How `check` reads each flag of _BOUNDS: its argparse destination and parser.
+_CHECK_FLAGS = {
+    "-p": ("second", load_matrix),
+    "-e": ("perturbation", load_matrix),
+    "--eps": ("eps", float),
+    "--s1": ("s1", lambda spec: _parse_index_range(spec, "--s1")),
+    "--s2": ("s2", lambda spec: _parse_index_range(spec, "--s2")),
+}
 
 
-def _cmd_spectrum(args, cfg: RunConfig, out) -> int:
-    d = symplectic_spectrum(_load_matrix(args.matrix))
-    if cfg.fmt == "json":
+def _check_flag(args, flag: str):
+    dest, parse = _CHECK_FLAGS[flag]
+    value = getattr(args, dest)
+    if value is None:
+        raise ParseError(f"check {args.bound} requires {flag}")
+    return parse(value)
+
+
+def _cmd_spectrum(args, out) -> int:
+    d = symplectic_spectrum(load_matrix(args.matrix))
+    if args.fmt == "json":
         out.write(_json_value(list(d)) + "\n")
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         out.write("d\n" + "\n".join(fmt_float(x) for x in d) + "\n")
     else:
         out.write("\n".join(fmt_float(x) for x in d) + "\n")
     return 0
 
 
-def _cmd_decompose(args, cfg: RunConfig, out) -> int:
-    fac = williamson(_load_matrix(args.matrix))
+def _cmd_decompose(args, out) -> int:
+    fac = williamson(load_matrix(args.matrix))
     scale = max(1.0, float(np.max(np.abs(fac.d))))
     ok = fac.residual_diag <= RESIDUAL_TOL * scale and fac.residual_symp <= RESIDUAL_TOL
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         out.write(
             _json_value(
                 {
@@ -377,41 +385,6 @@ def _cmd_decompose(args, cfg: RunConfig, out) -> int:
     return 0
 
 
-def _run_named_bound(args, cfg: RunConfig) -> tuple[float | None, BoundReport]:
-    name = args.bound
-    kind = cfg.norm_kind
-    m = _load_matrix(args.matrix)
-    if name in ("spectrum", "bhatia-jain", "sqrt", "inv", "entropy-diff", "projection", "eigvec"):
-        second = _load_matrix(_require_arg(args.second, "-p", f"check {name}"))
-    if name == "spectrum":
-        return None, bound_spectrum(m, second, kind)
-    if name == "bhatia-jain":
-        return None, bound_bhatia_jain(m, second)
-    if name == "sqrt":
-        return None, check_sqrt_lemma(m, second, kind)
-    if name == "inv":
-        return None, check_inv_lemma(m, second, kind)
-    if name == "entropy-diff":
-        return None, entropy_difference_bound(m, second)
-    if name == "projection":
-        s1 = _parse_index_range(_require_arg(args.s1, "--s1", "check projection"), "--s1")
-        s2 = _parse_index_range(_require_arg(args.s2, "--s2", "check projection"), "--s2")
-        return None, check_projection_bound(m, second, s1, s2)
-    eps = _require_arg(args.eps, "--eps", f"check {name}")
-    if name == "eigvec":
-        return eps, check_eigvec_bound(m, second, eps)
-    e = _load_matrix(_require_arg(args.perturbation, "-e", f"check {name}"))
-    if name == "s-stability":
-        return eps, bound_S(PerturbationCase(m, e, eps))
-    if name == "gram":
-        return eps, bound_gram(PerturbationCase(m, e, eps))
-    if name == "woodbury":
-        return eps, check_woodbury_norm(m, e, eps)
-    if name == "kappa-growth":
-        return eps, check_kappa_growth(m, e, eps)
-    raise UnknownCommand(f"unknown bound {name!r}")
-
-
 def _violates(report: BoundReport) -> bool:
     return (
         report.preconditions_met
@@ -420,48 +393,39 @@ def _violates(report: BoundReport) -> bool:
     )
 
 
-def _cmd_check(args, cfg: RunConfig, out) -> int:
-    eps, report = _run_named_bound(args, cfg)
-    out.write(emit_report([(eps, report)], cfg.fmt))
+def _cmd_check(args, out) -> int:
+    _, flags, checker = _BOUNDS[args.bound]
+    m = load_matrix(args.matrix)
+    values = [_check_flag(args, flag) for flag in flags]
+    report = checker(m, *values, _NORM_BY_FLAG[args.norm])
+    eps = args.eps if "--eps" in flags else None
+    out.write(emit_report([(eps, report)], args.fmt))
     return 2 if _violates(report) else 0
 
 
-_SWEEP_NAMES = {
-    "spectrum": "spectrum",
-    "bhatia-jain": "bhatia_jain",
-    "s-stability": "s_stability",
-    "gram": "gram",
-    "sqrt": "sqrt_lemma",
-    "inv": "inv_lemma",
-    "woodbury": "woodbury",
-    "kappa-growth": "kappa_growth",
-    "eigvec": "eigvec",
-}
-
-
-def _cmd_sweep(args, cfg: RunConfig, out) -> int:
-    m = _load_matrix(args.matrix)
+def _cmd_sweep(args, out) -> int:
+    m = load_matrix(args.matrix)
     if args.perturbation is not None:
-        e = _load_matrix(args.perturbation)
+        e = load_matrix(args.perturbation)
     else:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(args.seed)
         g = rng.standard_normal(m.shape)
         e = (g + g.T) / 2.0
     grid = _parse_eps_grid(args.eps)
-    report = sweep(m, e, grid, _SWEEP_NAMES[args.bound], cfg.norm_kind)
-    out.write(emit_report(list(report.grid), cfg.fmt, slope=report.slope))
+    report = sweep(m, e, grid, _BOUNDS[args.bound][0], _NORM_BY_FLAG[args.norm])
+    out.write(emit_report(list(report.grid), args.fmt, slope=report.slope))
     for eps, message in report.errors:
         sys.stderr.write(f"epsilon={fmt_float(eps)}: {message}\n")
     return 2 if any(_violates(r) for _, r in report.grid) else 0
 
 
-def _cmd_entropy(args, cfg: RunConfig, out) -> int:
-    rep = entanglement_entropy(_load_matrix(args.matrix))
-    scale = _entropy_scale(cfg)
+def _cmd_entropy(args, out) -> int:
+    rep = entanglement_entropy(load_matrix(args.matrix))
+    scale = 1.0 / np.log(2.0) if args.bits else 1.0
     h = rep.entropy * scale
     terms = [t * scale for t in rep.per_mode_terms]
-    unit = "bits" if cfg.bits else "nats"
-    if cfg.fmt == "json":
+    unit = "bits" if args.bits else "nats"
+    if args.fmt == "json":
         out.write(
             _json_value(
                 {
@@ -473,7 +437,7 @@ def _cmd_entropy(args, cfg: RunConfig, out) -> int:
             )
             + "\n"
         )
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         out.write("mode,term\n")
         for k, t in enumerate(terms, start=1):
             out.write(f"{k},{fmt_float(t)}\n")
@@ -485,9 +449,9 @@ def _cmd_entropy(args, cfg: RunConfig, out) -> int:
     return 0
 
 
-def _cmd_counterexample(args, cfg: RunConfig, out) -> int:
+def _cmd_counterexample(args, out) -> int:
     report = counterexample_scaling(args.x, args.eps, args.c)
-    if cfg.fmt == "text":
+    if args.fmt == "text":
         out.write(
             "fires={} lhs={} rhs={} x0={}\n".format(
                 "true" if report.holds else "false",
@@ -497,11 +461,11 @@ def _cmd_counterexample(args, cfg: RunConfig, out) -> int:
             )
         )
     else:
-        out.write(emit_report([(args.eps, report)], cfg.fmt))
+        out.write(emit_report([(args.eps, report)], args.fmt))
     return 0
 
 
-def _cmd_demo_degenerate(args, cfg: RunConfig, out) -> int:
+def _cmd_demo_degenerate(args, out) -> int:
     rep = degenerate_demo(args.eps)
     fields = {
         "epsilon": rep.epsilon,
@@ -510,7 +474,7 @@ def _cmd_demo_degenerate(args, cfg: RunConfig, out) -> int:
         "gram_dist": rep.gram_dist,
         "commutator_norm": rep.commutator_norm,
     }
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         out.write(_json_value(fields) + "\n")
     else:
         for key, val in fields.items():
@@ -540,13 +504,7 @@ def run(argv=None, out=None) -> int:
         args = build_parser().parse_args(argv)
         if args.command is None:
             raise UnknownCommand("no command given; see --help")
-        cfg = RunConfig(
-            norm_kind=_NORM_BY_FLAG[args.norm],
-            seed=args.seed,
-            fmt=args.fmt,
-            bits=args.bits,
-        )
-        return _COMMANDS[args.command](args, cfg, out)
+        return _COMMANDS[args.command](args, out)
     except SympspecError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -9,6 +9,7 @@ plain float64 numpy arrays.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import math
@@ -31,7 +32,6 @@ from .errors import (
 TOL_SYM = 1e-12    # symmetry gate
 TOL_PSD = 1e-10    # eigenvalue floor for PSD inputs (more negative -> error)
 TOL_PD = 1e-12     # strict positivity gate
-TOL_EIG = 1e-12    # eigenpair residual promise of sym_eig
 
 JACOBI_OFF_TOL = 1e-14   # off-diagonal Frobenius target, relative to ||A||_F
 JACOBI_MAX_SWEEPS = 100
@@ -39,6 +39,9 @@ JACOBI_MAX_SWEEPS = 100
 # Spectra one call's memo keeps: the largest working set, one s_stability
 # sweep point, reuses 7 while making 8 new; a long sweep holds no more.
 SOLVE_MEMO_CAPACITY = 16
+
+# No sum or difference of two floats at most this large overflows.
+_HALF_MAX = float(np.finfo(np.float64).max) / 2.0
 
 # The memo of the outermost _reuses_solves call running in this context, or
 # None outside any; sym_eig does no memo work when it is None.
@@ -71,8 +74,8 @@ class Spectrum:
 def _jacobi_kernel_loop(a, v, off_tol, max_sweeps):
     # Cyclic Jacobi with a skip threshold. Mutates `a` toward diagonal form
     # and accumulates rotations into `v`. Returns (converged, sweeps_used).
-    # This is the reference kernel: numba compiles it when importable, and
-    # _jacobi_kernel_numpy must reproduce its bits.
+    # This is the reference kernel, kept for the tests: _jacobi_kernel must
+    # reproduce its bits.
     n = a.shape[0]
     skip = off_tol / (2.0 * n)
     for sweep in range(max_sweeps):
@@ -133,10 +136,11 @@ def _off_norm2(a):
     return off2
 
 
-def _jacobi_kernel_numpy(a, v, off_tol, max_sweeps):
+def _jacobi_kernel(a, v, off_tol, max_sweeps):
     # The loop kernel's rotations in the same cyclic order with the same
     # elementwise IEEE operations, so a, v and the result are bit-identical.
-    # Precondition: `a` is exactly symmetric (sym_eig passes (m + m.T) / 2).
+    # Precondition: `a` is exactly symmetric (sym_eig passes the mean of m
+    # and m.T).
     # The loop kernel's column update then equals its row update outside
     # rows p and q, so rotating rows p and q of the stacked array [a | v^T]
     # updates a's rows and v's columns at once; the new rows are copied into
@@ -182,14 +186,6 @@ def _jacobi_kernel_numpy(a, v, off_tol, max_sweeps):
     return converged, sweeps
 
 
-try:
-    from numba import njit
-
-    _jacobi_kernel = njit(cache=True)(_jacobi_kernel_loop)
-except ImportError:  # numba is optional; the numpy kernel gives the same bits
-    _jacobi_kernel = _jacobi_kernel_numpy
-
-
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite float64 2-D array; raise NonFinite otherwise."""
     m = np.asarray(a, dtype=np.float64)
@@ -206,16 +202,30 @@ def _require_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _require_symmetric(m: np.ndarray, tol_rel: float = TOL_SYM) -> np.ndarray:
+def _midpoint(a, b, amax: float) -> np.ndarray:
+    # (a + b) / 2 for entries at most amax in magnitude, finite for finite
+    # inputs. Only past _HALF_MAX can the sum overflow; there those entries
+    # are halved first, which is exact for normal floats but rounds
+    # subnormals, so every sum that stays finite keeps its bits.
+    if amax <= _HALF_MAX:
+        return (a + b) / 2.0
+    with np.errstate(over="ignore"):
+        mid = (a + b) / 2.0
+    return np.where(np.isfinite(mid), mid, a / 2.0 + b / 2.0)
+
+
+def _require_symmetric(m: np.ndarray) -> np.ndarray:
     # Scale by the largest entry magnitude; cheap and never looser than an
-    # operator-norm scale.
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    asym = np.max(np.abs(m - m.T)) if m.size else 0.0
-    if asym > tol_rel * scale:
+    # operator-norm scale. Past _HALF_MAX, m - m.T may overflow to inf,
+    # which fails the gate as it should.
+    scale = float(np.max(np.abs(m))) if m.size else 0.0
+    with np.errstate(over="ignore") if scale > _HALF_MAX else contextlib.nullcontext():
+        asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    if asym > TOL_SYM * scale:
         raise NotSymmetric(
-            f"asymmetry {asym:.3e} exceeds {tol_rel:.1e} * {scale:.3e}"
+            f"asymmetry {asym:.3e} exceeds {TOL_SYM:.1e} * {scale:.3e}"
         )
-    return (m + m.T) / 2.0
+    return _midpoint(m, m.T, scale)
 
 
 def _reuses_solves(fn):

@@ -22,8 +22,8 @@ from .densemat import (
     _require_symmetric,
     _reuses_solves,
 )
-from .errors import BadIndices, DimensionMismatch, InvalidCovariance, NotInterior
-from .perturb import BoundReport
+from .errors import BadIndices, InvalidCovariance, NotInterior
+from .perturb import BoundReport, _symmetric_pair
 from .symplectic import symplectic_spectrum
 
 HEISENBERG_TOL = 1e-10   # validity: min symplectic eigenvalue >= 1 - this
@@ -142,10 +142,7 @@ def entropy_difference_bound(cov, cov2) -> BoundReport:
     1 + INTERIOR_TOL). The bound degrades near the boundary, so the report
     flags rather than asserts ``holds``.
     """
-    a = _require_symmetric(_require_square(as_matrix(cov)))
-    b = _require_symmetric(_require_square(as_matrix(cov2)))
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
+    a, b = _symmetric_pair(cov, cov2)
     ha = entanglement_entropy(a)
     hb = entanglement_entropy(b)
     for name, rep in (("first", ha), ("second", hb)):

@@ -115,16 +115,10 @@ class PerturbationCase:
     epsilon: float
 
     def __post_init__(self):
-        m = _require_symmetric(_require_square(as_matrix(self.m)))
-        e = _require_symmetric(_require_square(as_matrix(self.e)))
-        if m.shape != e.shape:
-            raise DimensionMismatch(f"M has shape {m.shape}, E has {e.shape}")
+        m, e = _symmetric_pair(self.m, self.e)
         if not self.epsilon > 0.0:
             raise OutOfValidityRange(f"epsilon must be positive, got {self.epsilon}")
-        e_norm = norm(e, NormKind.OPERATOR)
-        if e_norm == 0.0:
-            raise OutOfValidityRange("E must be nonzero")
-        e = e / e_norm
+        e = _unit_direction(e)
         _spd_spectrum(m, "M")
         _spd_spectrum(m + self.epsilon * e, "M + epsilon E")
         object.__setattr__(self, "m", m)
@@ -135,12 +129,21 @@ class PerturbationCase:
         return self.m + self.epsilon * self.e
 
 
-def _spd_pair(m, mp):
+def _symmetric_pair(m, mp):
+    # Two square, symmetric (symmetrized) matrices of the same shape.
     a = _require_symmetric(_require_square(as_matrix(m)))
     b = _require_symmetric(_require_square(as_matrix(mp)))
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
     return a, b
+
+
+def _unit_direction(e):
+    # E scaled to unit operator norm; a zero E has no direction.
+    e_norm = norm(e, NormKind.OPERATOR)
+    if e_norm == 0.0:
+        raise OutOfValidityRange("E must be nonzero")
+    return e / e_norm
 
 
 @_reuses_solves
@@ -150,7 +153,7 @@ def bound_spectrum(m, mp, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
     ||diag(d,d) - diag(d',d')||  <=  sqrt(kappa(M) kappa(M')) ||M - M'||
     in any of the implemented unitarily invariant norms.
     """
-    a, b = _spd_pair(m, mp)
+    a, b = _symmetric_pair(m, mp)
     d = symplectic_spectrum(a)
     dp = symplectic_spectrum(b)
     lhs = norm(np.diag(np.concatenate([d, d]) - np.concatenate([dp, dp])), kind)
@@ -165,7 +168,7 @@ def bound_bhatia_jain(m, mp) -> BoundReport:
     ||diag(d,d) - diag(d',d')||_op <= (||M||^1/2 + ||M'||^1/2) ||M - M'||^1/2.
     The report carries the condition-number bound's rhs in its details.
     """
-    a, b = _spd_pair(m, mp)
+    a, b = _symmetric_pair(m, mp)
     d = symplectic_spectrum(a)
     dp = symplectic_spectrum(b)
     lhs = norm(
@@ -447,10 +450,7 @@ def check_woodbury_norm(m, e, epsilon: float) -> BoundReport:
     pert = _require_square(as_matrix(e))
     if mat.shape != pert.shape:
         raise DimensionMismatch(f"shapes {mat.shape} and {pert.shape} differ")
-    e_norm = norm(pert, NormKind.OPERATOR)
-    if e_norm == 0.0:
-        raise OutOfValidityRange("E must be nonzero")
-    pert = pert / e_norm
+    pert = _unit_direction(pert)
     s = singular_values(mat)
     if s[-1] <= TOL_PD * s[0]:
         raise NotInvertible(f"smallest singular value {s[-1]:.6e} is negligible")
@@ -473,14 +473,8 @@ def check_kappa_growth(m, e, epsilon: float) -> BoundReport:
     If ||M^-1||_op <= 1/(2 eps) and eps < ||M||_op then
     kappa(M + eps E) <= 4 kappa(M), with E normalized to unit operator norm.
     """
-    mat = _require_symmetric(_require_square(as_matrix(m)))
-    pert = _require_symmetric(_require_square(as_matrix(e)))
-    if mat.shape != pert.shape:
-        raise DimensionMismatch(f"shapes {mat.shape} and {pert.shape} differ")
-    e_norm = norm(pert, NormKind.OPERATOR)
-    if e_norm == 0.0:
-        raise OutOfValidityRange("E must be nonzero")
-    pert = pert / e_norm
+    mat, pert = _symmetric_pair(m, e)
+    pert = _unit_direction(pert)
     vals = _spd_spectrum(mat, "M").eigenvalues
     lam_min, lam_max = float(vals[0]), float(vals[-1])
     if 1.0 / lam_min > 1.0 / (2.0 * epsilon):
@@ -501,10 +495,7 @@ def check_eigvec_bound(a, b, epsilon: float) -> BoundReport:
     where g is the smallest eigenvalue gap of A and ||B||_op <= 1. The
     report carries the worst mode.
     """
-    mat = _require_symmetric(_require_square(as_matrix(a)))
-    pert = _require_symmetric(_require_square(as_matrix(b)))
-    if mat.shape != pert.shape:
-        raise DimensionMismatch(f"shapes {mat.shape} and {pert.shape} differ")
+    mat, pert = _symmetric_pair(a, b)
     if norm(pert, NormKind.OPERATOR) > 1.0 + 1e-9:
         raise PreconditionViolated("||B||_op must not exceed 1")
     spec = sym_eig(mat)
@@ -543,10 +534,7 @@ def check_projection_bound(a, b, s1_range, s2_range) -> BoundReport:
     All three norms are checked; the report carries the kind with the worst
     margin.
     """
-    mat_a = _require_symmetric(_require_square(as_matrix(a)))
-    mat_b = _require_symmetric(_require_square(as_matrix(b)))
-    if mat_a.shape != mat_b.shape:
-        raise DimensionMismatch(f"shapes {mat_a.shape} and {mat_b.shape} differ")
+    mat_a, mat_b = _symmetric_pair(a, b)
     spec_a = sym_eig(mat_a)
     spec_b = sym_eig(mat_b)
     n = mat_a.shape[0]
@@ -620,11 +608,7 @@ def sweep(m, e, eps_grid, bound: str, kind: NormKind = NormKind.OPERATOR) -> Swe
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
         raise OutOfValidityRange("epsilon grid must be nonempty and strictly increasing")
     mat = as_matrix(m)
-    pert = as_matrix(e)
-    e_norm = norm(pert, NormKind.OPERATOR)
-    if e_norm == 0.0:
-        raise OutOfValidityRange("E must be nonzero")
-    pert = pert / e_norm
+    pert = _unit_direction(as_matrix(e))
 
     fn = SWEEPABLE[bound]
     points = []

@@ -22,6 +22,7 @@ from .densemat import (
     singular_values,
     sym_eig,
     _binary_exponent,
+    _midpoint,
     _require_square,
     _require_symmetric,
     _reuses_solves,
@@ -102,7 +103,7 @@ def symplectic_spectrum(m) -> np.ndarray:
     root = psd_sqrt(mat)
     sigma = standard_form(n)
     s = singular_values(root @ sigma @ root)
-    return (s[0::2] + s[1::2]) / 2.0
+    return _midpoint(s[0::2], s[1::2], float(s[0]))
 
 
 def _group_by_relative_gap(vals: np.ndarray, rel_tol: float) -> list[list[int]]:

@@ -11,16 +11,31 @@ import pytest
 
 from sympspec.cli import (
     CSV_HEADER,
-    MatrixFile,
     emit_report,
     fmt_float,
     format_matrix,
+    load_matrix,
     parse_matrix,
     run,
 )
 from sympspec.densemat import NormKind
 from sympspec.errors import ParseError, RaggedRows
-from sympspec.perturb import BoundReport
+from sympspec.gaussian import entropy_difference_bound
+from sympspec.perturb import (
+    BoundReport,
+    PerturbationCase,
+    bound_S,
+    bound_bhatia_jain,
+    bound_gram,
+    bound_spectrum,
+    check_eigvec_bound,
+    check_inv_lemma,
+    check_kappa_growth,
+    check_projection_bound,
+    check_sqrt_lemma,
+    check_woodbury_norm,
+    sweep,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,11 +85,9 @@ class TestParseMatrix:
         m = rng.standard_normal((3, 3))
         path = tmp_path / "m.txt"
         path.write_text(format_matrix(m))
-        mf = MatrixFile.load(path)
-        assert mf.path == str(path)
-        assert np.array_equal(mf.matrix, m)
+        assert np.array_equal(load_matrix(path), m)
         with pytest.raises(ParseError):
-            MatrixFile.load(tmp_path / "missing.txt")
+            load_matrix(tmp_path / "missing.txt")
 
 
 class TestEmitReport:
@@ -232,6 +245,134 @@ class TestCommands:
         _, first = _run_text(argv)
         _, second = _run_text(argv)
         assert first == second
+
+
+# Each `check` bound: the flags it needs after -m in the order the CLI
+# requires them, and the library call the CLI must reproduce.
+CHECK_CALLS = {
+    "spectrum": (("-p",), lambda m, p, kind: bound_spectrum(m, p, kind)),
+    "bhatia-jain": (("-p",), lambda m, p, kind: bound_bhatia_jain(m, p)),
+    "s-stability": (
+        ("--eps", "-e"),
+        lambda m, eps, e, kind: bound_S(PerturbationCase(m, e, eps)),
+    ),
+    "gram": (
+        ("--eps", "-e"),
+        lambda m, eps, e, kind: bound_gram(PerturbationCase(m, e, eps)),
+    ),
+    "sqrt": (("-p",), lambda m, p, kind: check_sqrt_lemma(m, p, kind)),
+    "inv": (("-p",), lambda m, p, kind: check_inv_lemma(m, p, kind)),
+    "woodbury": (("--eps", "-e"), lambda m, eps, e, kind: check_woodbury_norm(m, e, eps)),
+    "kappa-growth": (
+        ("--eps", "-e"),
+        lambda m, eps, e, kind: check_kappa_growth(m, e, eps),
+    ),
+    "eigvec": (("-p", "--eps"), lambda m, p, eps, kind: check_eigvec_bound(m, p, eps)),
+    "projection": (
+        ("-p", "--s1", "--s2"),
+        lambda m, p, s1, s2, kind: check_projection_bound(m, p, s1, s2),
+    ),
+    "entropy-diff": (("-p",), lambda m, p, kind: entropy_difference_bound(m, p)),
+}
+
+# `sweep` bound name -> the perturb.sweep name it runs.
+SWEEP_CALLS = {
+    "spectrum": "spectrum",
+    "bhatia-jain": "bhatia_jain",
+    "s-stability": "s_stability",
+    "gram": "gram",
+    "sqrt": "sqrt_lemma",
+    "inv": "inv_lemma",
+    "woodbury": "woodbury",
+    "kappa-growth": "kappa_growth",
+    "eigvec": "eigvec",
+}
+
+NORM_FLAGS = {"op": NormKind.OPERATOR, "fro": NormKind.FROBENIUS, "trace": NormKind.TRACE}
+
+
+class TestBoundParity:
+    """Every named bound through the CLI prints what the library call gives."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        m = parse_matrix((DATA / "spd4.txt").read_text())
+        e = np.array(
+            [
+                [0.5, -1.0, 0.25, 0.0],
+                [-1.0, -0.5, 0.0, 0.75],
+                [0.25, 0.0, 1.0, -0.25],
+                [0.0, 0.75, -0.25, -1.0],
+            ]
+        )
+        mats = {
+            "m": m,
+            "p": m + 1e-3 * e,
+            "e": e,
+            "b": e / (2.0 * np.linalg.norm(e, 2)),
+            "cov": 2.0 * m,
+            "cov2": 2.0 * (m + 1e-3 * e),
+        }
+        paths = {}
+        for name, mat in mats.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(format_matrix(mat))
+        # the matrices as the CLI reads them
+        return {n: (str(paths[n]), parse_matrix(paths[n].read_text())) for n in mats}
+
+    @staticmethod
+    def _flags(name, files):
+        # (argv text, library value) of every flag `check name` may take
+        m = files["cov" if name == "entropy-diff" else "m"]
+        p = files["cov2" if name == "entropy-diff" else "b" if name == "eigvec" else "p"]
+        return m, {
+            "-p": p,
+            "-e": files["e"],
+            "--eps": ("1e-3", 1e-3),
+            "--s1": ("0:2", (0, 2)),
+            "--s2": ("2:4", (2, 4)),
+        }
+
+    @pytest.mark.parametrize("name", sorted(CHECK_CALLS))
+    def test_check_matches_library(self, name, files):
+        flags, call = CHECK_CALLS[name]
+        m, values = self._flags(name, files)
+        argv = ["check", name, "-m", m[0]]
+        for flag in flags:
+            argv += [flag, values[flag][0]]
+        eps = 1e-3 if "--eps" in flags else None
+        for fmt in ("text", "csv", "json"):
+            for norm_flag, kind in NORM_FLAGS.items():
+                code, text = _run_text(["--format", fmt, "--norm", norm_flag] + argv)
+                report = call(m[1], *(values[flag][1] for flag in flags), kind)
+                assert code == 0
+                assert text == emit_report([(eps, report)], fmt)
+
+    @pytest.mark.parametrize("name", sorted(CHECK_CALLS))
+    def test_check_missing_flag(self, name, files, capsys):
+        flags, _ = CHECK_CALLS[name]
+        m, values = self._flags(name, files)
+        for missing in flags:
+            argv = ["check", name, "-m", m[0]]
+            for flag in flags:
+                if flag != missing:
+                    argv += [flag, values[flag][0]]
+            code, text = _run_text(argv)
+            assert code == 1
+            assert text == ""
+            assert capsys.readouterr().err == f"error: check {name} requires {missing}\n"
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CALLS))
+    def test_sweep_matches_library(self, name, files):
+        m, e = files["m"], files["e"]
+        argv = ["sweep", name, "-m", m[0], "-e", e[0], "--eps", "1e-4,1e-3"]
+        for fmt in ("text", "csv", "json"):
+            for norm_flag, kind in NORM_FLAGS.items():
+                code, text = _run_text(["--format", fmt, "--norm", norm_flag] + argv)
+                report = sweep(m[1], e[1], [1e-4, 1e-3], SWEEP_CALLS[name], kind)
+                assert not report.errors
+                assert code == 0
+                assert text == emit_report(list(report.grid), fmt, slope=report.slope)
 
 
 def _run_cli_subprocess(argv):

@@ -15,6 +15,7 @@ from sympspec.errors import (
     ZeroModes,
 )
 from sympspec.symplectic import (
+    RESIDUAL_TOL,
     gauge_align,
     is_symplectic,
     standard_form,
@@ -168,6 +169,24 @@ class TestWilliamson:
         assert np.array_equal(
             symplectic_spectrum(np.ldexp(m, k)), np.ldexp(symplectic_spectrum(m), k)
         )
+
+    @pytest.mark.parametrize("lo, hi, k", [(1.1, 1.9, 1023), (2.5, 3.5, 1022)])
+    def test_top_of_float_range(self, lo, hi, k):
+        # Entries and symplectic eigenvalues past 2^1023, where the plain
+        # sums in the symmetrization and in the pair mean would overflow.
+        m = random_spd(np.random.default_rng(64), 6, hi / lo, lo)
+        big = np.ldexp(m, k)
+        d, d_ref = symplectic_spectrum(big), np.ldexp(symplectic_spectrum(m), k)
+        assert np.all(np.isfinite(d))
+        np.testing.assert_allclose(d, d_ref, rtol=1e-12, atol=0)
+        fac, fac_ref = williamson(big), williamson(m)
+        assert fac.residual_diag <= RESIDUAL_TOL * norm(big, NormKind.OPERATOR)
+        assert fac.residual_symp <= RESIDUAL_TOL
+        np.testing.assert_allclose(fac.d, d, rtol=1e-12, atol=0)
+        if k % 2 == 0:  # an even power of two passes square roots exactly
+            assert np.array_equal(d, d_ref)
+            assert np.array_equal(fac.S, fac_ref.S)
+            assert np.array_equal(fac.d, np.ldexp(fac_ref.d, k))
 
     def test_degenerate_spectrum_still_factorizes(self):
         rng = np.random.default_rng(45)

@@ -42,6 +42,8 @@ SOLVE_MEMO_CAPACITY = 16
 
 # No sum or difference of two floats at most this large overflows.
 _HALF_MAX = float(np.finfo(np.float64).max) / 2.0
+# Every finite float is below 2 ** _MAX_EXP.
+_MAX_EXP = int(np.finfo(np.float64).maxexp)
 
 # The memo of the outermost _reuses_solves call running in this context, or
 # None outside any; sym_eig does no memo work when it is None.
@@ -145,22 +147,35 @@ def _jacobi_kernel(a, v, off_tol, max_sweeps):
     # rows p and q, so rotating rows p and q of the stacked array [a | v^T]
     # updates a's rows and v's columns at once; the new rows are copied into
     # a's columns, and the four closed forms overwrite the (p, q) block.
+    # Rows rotate in place through views bound once per call: with the
+    # scratch rows t1 = s*w_q and t2 = s*w_p, w_p*c - t1 is c*w_p - s*w_q
+    # and w_q*c + t2 is s*w_p + c*w_q, as IEEE products and sums commute.
     n = a.shape[0]
     skip = off_tol / (2.0 * n)
     w = np.concatenate((a, v.T), axis=1)
     wa = w[:, :n]
+    rows = list(w)
+    arows = list(wa)
+    acols = list(wa.T)
+    item = wa.item
+    t1 = np.empty(w.shape[1])
+    t2 = np.empty(w.shape[1])
+    c0 = np.empty(())
+    s0 = np.empty(())
+    mul = np.multiply
     for sweep in range(max_sweeps):
         if math.sqrt(_off_norm2(wa)) <= off_tol:
             converged, sweeps = True, sweep
             break
         for p in range(n - 1):
-            wp = w[p]
+            wp = rows[p]
+            ap = arows[p]
             for q in range(p + 1, n):
-                apq = wa.item(p, q)
+                apq = item(p, q)
                 if abs(apq) <= skip:
                     continue
-                app = wa.item(p, p)
-                aqq = wa.item(q, q)
+                app = item(p, p)
+                aqq = item(q, q)
                 tau = (aqq - app) / (2.0 * apq)
                 if tau >= 0.0:
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
@@ -168,16 +183,22 @@ def _jacobi_kernel(a, v, off_tol, max_sweeps):
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                wq = w[q]
-                new_p = c * wp - s * wq
-                wq[:] = s * wp + c * wq
-                wp[:] = new_p
-                wa[:, p] = wa[p]
-                wa[:, q] = wa[q]
-                wa[p, q] = 0.0
-                wa[q, p] = 0.0
-                wa[p, p] = app - t * apq
-                wa[q, q] = aqq + t * apq
+                c0[()] = c
+                s0[()] = s
+                wq = rows[q]
+                aq = arows[q]
+                mul(wq, s0, t1)
+                mul(wp, s0, t2)
+                wp *= c0
+                wp -= t1
+                wq *= c0
+                wq += t2
+                acols[p][...] = ap
+                acols[q][...] = aq
+                ap[q] = 0.0
+                aq[p] = 0.0
+                ap[p] = app - t * apq
+                aq[q] = aqq + t * apq
     else:
         converged = bool(math.sqrt(_off_norm2(wa)) <= off_tol)
         sweeps = max_sweeps
@@ -257,6 +278,19 @@ def _binary_exponent(m: np.ndarray, even: bool = False) -> int:
     return e + (e & 1) if even else e
 
 
+def _unscale(x, exp: int):
+    # np.ldexp(x, exp), undoing a _binary_exponent rescale. Only exp > 0 can
+    # push a result past the largest float; that is caught before the ldexp,
+    # so it raises NonFinite instead of returning inf with a RuntimeWarning.
+    if exp > 0 and x.size:
+        amax = float(np.max(np.abs(x)))
+        if math.frexp(amax)[1] + exp > _MAX_EXP:
+            raise NonFinite(
+                f"result {amax!r} * 2^{exp} exceeds the largest float"
+            )
+    return np.ldexp(x, exp)
+
+
 def sym_eig(a) -> Spectrum:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
 
@@ -295,7 +329,7 @@ def sym_eig(a) -> Spectrum:
         lead = int(np.argmax(np.abs(vecs[:, j])))
         if vecs[lead, j] < 0.0:
             vecs[:, j] = -vecs[:, j]
-    vals = np.ldexp(vals, exp)
+    vals = _unscale(vals, exp)
     if memo is not None:
         memo[key] = (vals.copy(), vecs.copy())
         if len(memo) > SOLVE_MEMO_CAPACITY:
@@ -348,7 +382,7 @@ def singular_values(a) -> np.ndarray:
     m = np.ldexp(m, -exp)
     gram = m.T @ m
     vals = sym_eig((gram + gram.T) / 2.0).eigenvalues
-    return np.ldexp(np.sqrt(np.clip(vals, 0.0, None))[::-1], exp)
+    return _unscale(np.sqrt(np.clip(vals, 0.0, None))[::-1], exp)
 
 
 def norm(a, kind: NormKind = NormKind.OPERATOR) -> float:
@@ -357,7 +391,7 @@ def norm(a, kind: NormKind = NormKind.OPERATOR) -> float:
     if kind is NormKind.FROBENIUS:
         exp = _binary_exponent(m)
         m = np.ldexp(m, -exp)
-        return float(np.ldexp(np.sqrt(np.sum(m * m)), exp))
+        return float(_unscale(np.sqrt(np.sum(m * m)), exp))
     s = singular_values(m)
     if kind is NormKind.OPERATOR:
         return float(s[0]) if s.size else 0.0

@@ -496,6 +496,9 @@ def check_eigvec_bound(a, b, epsilon: float) -> BoundReport:
     report carries the worst mode.
     """
     mat, pert = _symmetric_pair(a, b)
+    # epsilon = 0 is the unperturbed case, where both sides are 0.
+    if not epsilon >= 0.0:
+        raise OutOfValidityRange(f"epsilon must not be negative, got {epsilon}")
     if norm(pert, NormKind.OPERATOR) > 1.0 + 1e-9:
         raise PreconditionViolated("||B||_op must not exceed 1")
     spec = sym_eig(mat)
@@ -608,7 +611,10 @@ def sweep(m, e, eps_grid, bound: str, kind: NormKind = NormKind.OPERATOR) -> Swe
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
         raise OutOfValidityRange("epsilon grid must be nonempty and strictly increasing")
     mat = as_matrix(m)
-    pert = _unit_direction(as_matrix(e))
+    pert = as_matrix(e)
+    if mat.shape != pert.shape:
+        raise DimensionMismatch(f"shapes {mat.shape} and {pert.shape} differ")
+    pert = _unit_direction(pert)
 
     fn = SWEEPABLE[bound]
     points = []

@@ -27,6 +27,7 @@ from .densemat import (
     _require_symmetric,
     _reuses_solves,
     _spd_spectrum,
+    _unscale,
 )
 from .errors import (
     DegenerateSpectrum,
@@ -244,7 +245,7 @@ def williamson(m, _seed_order=None) -> WilliamsonFactorization:
     return WilliamsonFactorization(
         n_modes=n,
         S=s,
-        d=np.ldexp(d, exp),
+        d=_unscale(d, exp),
         residual_diag=math.ldexp(residual_diag, exp),
         residual_symp=residual_symp,
     )

@@ -374,6 +374,25 @@ class TestBoundParity:
                 assert code == 0
                 assert text == emit_report(list(report.grid), fmt, slope=report.slope)
 
+    @pytest.mark.parametrize("name", sorted(SWEEP_CALLS))
+    def test_sweep_shape_mismatch(self, name, files, tmp_path, capsys):
+        # E of another shape than M: an input error, before any point runs
+        small = tmp_path / "small.txt"
+        small.write_text(format_matrix(np.eye(2)))
+        argv = ["sweep", name, "-m", files["m"][0], "-e", str(small)]
+        code, text = _run_text(argv + ["--eps", "1e-4,1e-3"])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == "error: shapes (4, 4) and (2, 2) differ\n"
+
+    def test_eigvec_negative_epsilon(self, files, capsys):
+        # exit 2 is kept for a bound that fails with its preconditions met
+        argv = ["check", "eigvec", "-m", files["m"][0], "-p", files["b"][0]]
+        code, text = _run_text(argv + ["--eps", "-1"])
+        assert code == 1
+        assert text == ""
+        assert "epsilon must not be negative" in capsys.readouterr().err
+
 
 def _run_cli_subprocess(argv):
     return subprocess.run(

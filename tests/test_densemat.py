@@ -122,6 +122,19 @@ class TestExtremeScales:
         for kind in NormKind:
             assert norm(np.ldexp(m, k), kind) == np.ldexp(norm(m, kind), k)
 
+    def test_result_beyond_float_range_raises(self):
+        # Finite entries whose largest eigenvalue, 3e308, is not a float.
+        m = np.full((2, 2), 1.5e308)
+        with pytest.raises(NonFinite):
+            sym_eig(m)
+        with pytest.raises(NonFinite):
+            singular_values(m)
+        for kind in NormKind:
+            with pytest.raises(NonFinite):
+                norm(m, kind)
+        # 1.5e308 itself fits: the largest float is below 2^1024.
+        assert sym_eig(np.diag([1.5e308, 0.0])).eigenvalues[-1] == 1.5e308
+
     def test_top_of_float_range(self):
         # Past 2^1023 the symmetrization's plain sum m + m.T overflows.
         got = sym_eig(np.diag([1.7e308, 1.0])).eigenvalues
@@ -283,15 +296,25 @@ def _jacobi_cases():
 
     q = random_orthogonal(rng, 6)
     repeated = (q * np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0])) @ q.T
+    # The doubled embedding [[0, -B], [B, 0]] of an antisymmetric B, as
+    # williamson solves it: its exact zero blocks make many pairs skip, and
+    # its eigenvalues come in +-pairs, each twice.
+    b = rng.standard_normal((6, 6))
+    b = b - b.T
+    zero = np.zeros((6, 6))
+    doubled = np.block([[zero, -b], [b, zero]])
     cases = [(sym(6), JACOBI_MAX_SWEEPS) for _ in range(5)]
-    cases += [(sym(dim), JACOBI_MAX_SWEEPS) for dim in (1, 2, 20, 40)]
+    cases += [(sym(dim), JACOBI_MAX_SWEEPS) for dim in (1, 2, 20, 40, 80)]
     cases += [
         (np.eye(7), JACOBI_MAX_SWEEPS),
         ((repeated + repeated.T) / 2.0, JACOBI_MAX_SWEEPS),
         (random_spd(rng, 20, 1e6, 1e-3), JACOBI_MAX_SWEEPS),
         (random_spd(rng, 40, 1e6, 10.0), JACOBI_MAX_SWEEPS),
         (np.zeros((5, 5)), JACOBI_MAX_SWEEPS),
-        (sym(20), 1),  # one sweep is not enough: the unconverged exit
+        (doubled, JACOBI_MAX_SWEEPS),
+        # too few sweeps: the unconverged exit
+        (sym(20), 1),
+        (doubled, 2),
     ]
     return cases
 
@@ -312,7 +335,7 @@ def test_jacobi_kernel_matches_loop_bitwise():
         assert _jacobi_kernel(a_out, v_out, tol, max_sweeps) == ref
         assert np.array_equal(a_out, a_ref)
         assert np.array_equal(v_out, v_ref)
-    assert unconverged == 1
+    assert unconverged == 2
 
 
 def test_sqrt_is_operator_monotone_compatible():

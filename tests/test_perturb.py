@@ -9,6 +9,7 @@ from conftest import random_spd, random_spd_generic, random_symmetric_unit
 from sympspec.densemat import NormKind, norm
 from sympspec.errors import (
     DegenerateSpectrum,
+    DimensionMismatch,
     NotPositiveDefinite,
     OutOfValidityRange,
     PreconditionViolated,
@@ -379,6 +380,12 @@ class TestEigvecBound:
         assert r.holds
         assert r.details["gap"] == pytest.approx(1.0)
 
+    def test_negative_epsilon(self):
+        rng = np.random.default_rng(84)
+        b = random_symmetric_unit(rng, 3)
+        with pytest.raises(OutOfValidityRange):
+            check_eigvec_bound(np.diag([1.0, 2.0, 4.0]), b, -1.0)
+
     def test_repeated_eigenvalue(self):
         rng = np.random.default_rng(83)
         b = random_symmetric_unit(rng, 3)
@@ -444,6 +451,13 @@ class TestSweep:
         monkeypatch.setitem(SWEEPABLE, "spectrum", broken)
         with pytest.raises(TypeError):
             sweep(np.eye(2), np.eye(2), [1e-3], "spectrum")
+
+    @pytest.mark.parametrize("name", sorted(SWEEPABLE))
+    def test_rejects_shape_mismatch(self, name):
+        # checked before the loop: spectrum, bhatia_jain, sqrt_lemma and
+        # inv_lemma would otherwise form M + eps E and fail inside numpy
+        with pytest.raises(DimensionMismatch):
+            sweep(np.eye(4), np.eye(2), [1e-4, 1e-3], name)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(OutOfValidityRange):

@@ -10,6 +10,7 @@ from sympspec.densemat import NormKind, norm, psd_sqrt, singular_values
 from sympspec.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
+    NonFinite,
     NotPositiveDefinite,
     OddDimension,
     ZeroModes,
@@ -187,6 +188,13 @@ class TestWilliamson:
             assert np.array_equal(d, d_ref)
             assert np.array_equal(fac.S, fac_ref.S)
             assert np.array_equal(fac.d, np.ldexp(fac_ref.d, k))
+
+    def test_symplectic_eigenvalue_beyond_float_range_raises(self):
+        # Finite entries, a largest symplectic eigenvalue of about 2e308.
+        a = 8.9e307
+        m = a * np.eye(4) + 0.99 * a * np.ones((4, 4))
+        with pytest.raises(NonFinite):
+            williamson(m)
 
     def test_degenerate_spectrum_still_factorizes(self):
         rng = np.random.default_rng(45)

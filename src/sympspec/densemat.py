@@ -150,6 +150,8 @@ def _jacobi_kernel(a, v, off_tol, max_sweeps):
     # Rows rotate in place through views bound once per call: with the
     # scratch rows t1 = s*w_q and t2 = s*w_p, w_p*c - t1 is c*w_p - s*w_q
     # and w_q*c + t2 is s*w_p + c*w_q, as IEEE products and sums commute.
+    # c and s reach the ufuncs as 0-d arrays, which numpy takes faster than
+    # Python floats; the products are the same float64 products.
     n = a.shape[0]
     skip = off_tol / (2.0 * n)
     w = np.concatenate((a, v.T), axis=1)

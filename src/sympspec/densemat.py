@@ -214,7 +214,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise NotSquare(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NonFinite("matrix contains NaN or Inf entries")
     return m
 
@@ -238,12 +238,17 @@ def _midpoint(a, b, amax: float) -> np.ndarray:
 
 
 def _require_symmetric(m: np.ndarray) -> np.ndarray:
+    # A fresh symmetric array: a copy of m when m equals m.T bit for bit,
+    # which is the midpoint's bits too (every internal caller passes such an
+    # m). Bits, not values: -0.0 == +0.0, but their midpoint is +0.0.
+    if m.tobytes() == m.T.tobytes():
+        return m.copy()
     # Scale by the largest entry magnitude; cheap and never looser than an
     # operator-norm scale. Past _HALF_MAX, m - m.T may overflow to inf,
     # which fails the gate as it should.
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
+    scale = float(np.abs(m).max())
     with np.errstate(over="ignore") if scale > _HALF_MAX else contextlib.nullcontext():
-        asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+        asym = float(np.abs(m - m.T).max())
     if asym > TOL_SYM * scale:
         raise NotSymmetric(
             f"asymmetry {asym:.3e} exceeds {TOL_SYM:.1e} * {scale:.3e}"
@@ -273,7 +278,7 @@ def _binary_exponent(m: np.ndarray, even: bool = False) -> int:
     # zero), where sums of squares neither overflow nor underflow; otherwise
     # the power of two (even if asked) whose inverse brings it near 1.
     # Scaling by a power of two is exact, and Jacobi commutes with it bit for bit.
-    amax = float(np.max(np.abs(m))) if m.size else 0.0
+    amax = float(np.abs(m).max()) if m.size else 0.0
     if amax == 0.0 or 2.0 ** -256 <= amax <= 2.0 ** 256:
         return 0
     e = math.frexp(amax)[1]
@@ -281,11 +286,14 @@ def _binary_exponent(m: np.ndarray, even: bool = False) -> int:
 
 
 def _unscale(x, exp: int):
-    # np.ldexp(x, exp), undoing a _binary_exponent rescale. Only exp > 0 can
-    # push a result past the largest float; that is caught before the ldexp,
-    # so it raises NonFinite instead of returning inf with a RuntimeWarning.
+    # np.ldexp(x, exp), undoing a _binary_exponent rescale; x itself when
+    # exp is 0. Only exp > 0 can push a result past the largest float; that
+    # is caught before the ldexp, so it raises NonFinite instead of
+    # returning inf with a RuntimeWarning.
+    if exp == 0:
+        return x
     if exp > 0 and x.size:
-        amax = float(np.max(np.abs(x)))
+        amax = float(np.abs(x).max())
         if math.frexp(amax)[1] + exp > _MAX_EXP:
             raise NonFinite(
                 f"result {amax!r} * 2^{exp} exceeds the largest float"
@@ -313,8 +321,9 @@ def sym_eig(a) -> Spectrum:
         if hit is not None:
             memo.move_to_end(key)
             return Spectrum(eigenvalues=hit[0].copy(), eigenvectors=hit[1].copy())
+    # m is a fresh copy, so the kernel may work in it when no rescale is due.
     exp = _binary_exponent(m)
-    work = np.ascontiguousarray(np.ldexp(m, -exp))
+    work = np.ldexp(m, -exp) if exp else m
     vecs = np.eye(n)
     off_tol = JACOBI_OFF_TOL * float(np.sqrt(np.sum(work * work)))
     converged, _ = _jacobi_kernel(work, vecs, off_tol, JACOBI_MAX_SWEEPS)
@@ -322,16 +331,14 @@ def sym_eig(a) -> Spectrum:
         raise ConvergenceFailure(
             f"Jacobi did not converge within {JACOBI_MAX_SWEEPS} sweeps"
         )
-    vals = np.diag(work).copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    # Sign convention: np.argmax returns the first maximal index.
-    for j in range(n):
-        lead = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[lead, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
-    vals = _unscale(vals, exp)
+    diag = work.diagonal()
+    order = diag.argsort(kind="stable")
+    vals = _unscale(diag.take(order), exp)
+    vecs = vecs.take(order, axis=1)
+    # Sign convention: argmax returns the first maximal index; negation is
+    # exact.
+    lead = np.abs(vecs).argmax(axis=0)
+    np.negative(vecs, out=vecs, where=vecs[lead, np.arange(n)] < 0.0)
     if memo is not None:
         memo[key] = (vals.copy(), vecs.copy())
         if len(memo) > SOLVE_MEMO_CAPACITY:
@@ -344,7 +351,7 @@ def _spd_spectrum(a, name: str = "") -> Spectrum:
     # clears TOL_PD relative to the largest magnitude; an empty matrix fails.
     spec = sym_eig(a)
     vals = spec.eigenvalues
-    if vals.size == 0 or vals[0] <= TOL_PD * float(np.max(np.abs(vals))):
+    if vals.size == 0 or vals[0] <= TOL_PD * float(np.abs(vals).max()):
         smallest = vals[0] if vals.size else float("nan")
         prefix = f"{name}: " if name else ""
         raise NotPositiveDefinite(
@@ -361,10 +368,10 @@ def psd_sqrt(a) -> np.ndarray:
     """
     spec = sym_eig(a)
     vals, vecs = spec.eigenvalues, spec.eigenvectors
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+    scale = float(np.abs(vals).max()) if vals.size else 0.0
     if vals.size and vals[0] < -TOL_PSD * scale:
         raise NotPSD(f"eigenvalue {vals[0]:.6e} below -{TOL_PSD:.1e} * {scale:.6e}")
-    root = np.sqrt(np.clip(vals, 0.0, None))
+    root = np.sqrt(vals.clip(0.0))
     r = (vecs * root) @ vecs.T
     return (r + r.T) / 2.0
 
@@ -381,25 +388,31 @@ def singular_values(a) -> np.ndarray:
     """Descending singular values: square roots of the eigenvalues of A^T A."""
     m = _require_square(as_matrix(a))
     exp = _binary_exponent(m)
-    m = np.ldexp(m, -exp)
+    if exp:
+        m = np.ldexp(m, -exp)
     gram = m.T @ m
     vals = sym_eig((gram + gram.T) / 2.0).eigenvalues
-    return _unscale(np.sqrt(np.clip(vals, 0.0, None))[::-1], exp)
+    return _unscale(np.sqrt(vals[::-1].clip(0.0)), exp)
 
 
 def norm(a, kind: NormKind = NormKind.OPERATOR) -> float:
     """Unitarily invariant norm of a square matrix."""
     m = _require_square(as_matrix(a))
-    if kind is NormKind.FROBENIUS:
-        exp = _binary_exponent(m)
-        m = np.ldexp(m, -exp)
-        return float(_unscale(np.sqrt(np.sum(m * m)), exp))
-    s = singular_values(m)
     if kind is NormKind.OPERATOR:
+        s = singular_values(m)
         return float(s[0]) if s.size else 0.0
-    if kind is NormKind.TRACE:
-        return float(np.sum(s))
-    raise ValueError(f"unknown norm kind: {kind!r}")
+    if kind is not NormKind.FROBENIUS and kind is not NormKind.TRACE:
+        raise ValueError(f"unknown norm kind: {kind!r}")
+    # Sum at the scale where no square and no sum overflows, then unscale
+    # once; the scaled matrix's singular values need no rescale of their own.
+    exp = _binary_exponent(m)
+    if exp:
+        m = np.ldexp(m, -exp)
+    if kind is NormKind.FROBENIUS:
+        total = np.sqrt((m * m).sum())
+    else:
+        total = singular_values(m).sum()
+    return float(_unscale(total, exp))
 
 
 def identity_norm(n: int, kind: NormKind) -> float:

@@ -116,8 +116,7 @@ class PerturbationCase:
 
     def __post_init__(self):
         m, e = _symmetric_pair(self.m, self.e)
-        if not self.epsilon > 0.0:
-            raise OutOfValidityRange(f"epsilon must be positive, got {self.epsilon}")
+        _require_positive_epsilon(self.epsilon)
         e = _unit_direction(e)
         _spd_spectrum(m, "M")
         _spd_spectrum(m + self.epsilon * e, "M + epsilon E")
@@ -136,6 +135,12 @@ def _symmetric_pair(m, mp):
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
     return a, b
+
+
+def _require_positive_epsilon(epsilon):
+    # NaN fails too; the bounds divide by epsilon.
+    if not epsilon > 0.0:
+        raise OutOfValidityRange(f"epsilon must be positive, got {epsilon}")
 
 
 def _unit_direction(e):
@@ -450,6 +455,7 @@ def check_woodbury_norm(m, e, epsilon: float) -> BoundReport:
     pert = _require_square(as_matrix(e))
     if mat.shape != pert.shape:
         raise DimensionMismatch(f"shapes {mat.shape} and {pert.shape} differ")
+    _require_positive_epsilon(epsilon)
     pert = _unit_direction(pert)
     s = singular_values(mat)
     if s[-1] <= TOL_PD * s[0]:
@@ -474,6 +480,7 @@ def check_kappa_growth(m, e, epsilon: float) -> BoundReport:
     kappa(M + eps E) <= 4 kappa(M), with E normalized to unit operator norm.
     """
     mat, pert = _symmetric_pair(m, e)
+    _require_positive_epsilon(epsilon)
     pert = _unit_direction(pert)
     vals = _spd_spectrum(mat, "M").eigenvalues
     lam_min, lam_max = float(vals[0]), float(vals[-1])

@@ -22,7 +22,6 @@ from .densemat import (
     singular_values,
     sym_eig,
     _binary_exponent,
-    _midpoint,
     _require_square,
     _require_symmetric,
     _reuses_solves,
@@ -72,9 +71,12 @@ def standard_form(n: int) -> np.ndarray:
     """The 2n-by-2n symplectic form [[0, I], [-I, 0]]."""
     if n < 1:
         raise ZeroModes(f"need at least one mode, got n={n}")
+    # -eye, not a diagonal of -1.0: its off-diagonal entries are -0.0.
     eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([[zero, eye], [-eye, zero]])
+    s = np.zeros((2 * n, 2 * n))
+    s[:n, n:] = eye
+    s[n:, :n] = -eye
+    return s
 
 
 def _even_dim(m: np.ndarray) -> int:
@@ -100,11 +102,16 @@ def symplectic_spectrum(m) -> np.ndarray:
     """
     mat = _require_symmetric(_require_square(as_matrix(m)))
     n = _even_dim(mat)
+    # As in williamson: the spectrum of M / 4^j is d / 4^j exactly, since
+    # M^{1/2} scales by 2^-j; at that scale no pair sum below overflows.
+    exp = _binary_exponent(mat, even=True)
+    if exp:
+        mat = np.ldexp(mat, -exp)
     _spd_spectrum(mat)
     root = psd_sqrt(mat)
     sigma = standard_form(n)
     s = singular_values(root @ sigma @ root)
-    return _midpoint(s[0::2], s[1::2], float(s[0]))
+    return _unscale((s[0::2] + s[1::2]) / 2.0, exp)
 
 
 def _group_by_relative_gap(vals: np.ndarray, rel_tol: float) -> list[list[int]]:
@@ -213,7 +220,8 @@ def williamson(m, _seed_order=None) -> WilliamsonFactorization:
     # Factor M / 4^j when M's entries are extreme: S is the same, while d and
     # residual_diag scale back by 4^j exactly.
     exp = _binary_exponent(mat, even=True)
-    mat = np.ldexp(mat, -exp)
+    if exp:
+        mat = np.ldexp(mat, -exp)
     spec = _spd_spectrum(mat)
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     inv_root = (vecs / np.sqrt(vals)) @ vecs.T

@@ -393,6 +393,26 @@ class TestBoundParity:
         assert text == ""
         assert "epsilon must not be negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["woodbury", "kappa-growth"])
+    @pytest.mark.parametrize("eps", ["0", "-1"])
+    def test_nonpositive_epsilon(self, name, eps, files, capsys):
+        argv = ["check", name, "-m", files["m"][0], "-e", files["e"][0]]
+        code, text = _run_text(argv + ["--eps", eps])
+        assert code == 1
+        assert text == ""
+        assert "epsilon must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["woodbury", "kappa-growth"])
+    def test_sweep_records_zero_epsilon(self, name, files, capsys):
+        argv = ["--format", "csv", "sweep", name, "-m", files["m"][0], "-e", files["e"][0]]
+        code, text = _run_text(argv + ["--eps", "0,1e-3"])
+        assert code == 0
+        # header, the 1e-3 point, slope
+        assert [line.split(",")[0] for line in text.splitlines()[1:-1]] == ["0.001"]
+        assert capsys.readouterr().err == (
+            "epsilon=0: OutOfValidityRange: epsilon must be positive, got 0.0\n"
+        )
+
 
 def _run_cli_subprocess(argv):
     return subprocess.run(

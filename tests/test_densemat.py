@@ -118,6 +118,7 @@ class TestExtremeScales:
 
     @pytest.mark.parametrize("k", [-600, 600])
     def test_norms_scale_exactly(self, k):
+        # the trace norm sums at the scaled size, then unscales once
         m = random_spd_generic(np.random.default_rng(62), 6)
         for kind in NormKind:
             assert norm(np.ldexp(m, k), kind) == np.ldexp(norm(m, kind), k)
@@ -134,6 +135,13 @@ class TestExtremeScales:
                 norm(m, kind)
         # 1.5e308 itself fits: the largest float is below 2^1024.
         assert sym_eig(np.diag([1.5e308, 0.0])).eigenvalues[-1] == 1.5e308
+
+    def test_trace_norm_beyond_float_range_raises(self):
+        # Each singular value fits; their sum, 3e308, does not.
+        m = np.diag([1.5e308, 1.5e308])
+        with pytest.raises(NonFinite):
+            norm(m, NormKind.TRACE)
+        assert norm(m, NormKind.OPERATOR) == 1.5e308
 
     def test_top_of_float_range(self):
         # Past 2^1023 the symmetrization's plain sum m + m.T overflows.
@@ -346,3 +354,134 @@ def test_sqrt_is_operator_monotone_compatible():
         lhs = norm(psd_sqrt(a) - psd_sqrt(b), NormKind.OPERATOR)
         rhs = np.sqrt(norm(a - b, NormKind.OPERATOR))
         assert lhs <= rhs + 1e-12
+
+
+def _reference_symmetrize(a):
+    # The asymmetry gate and the midpoint, taken on every input.
+    from sympspec.densemat import TOL_SYM, _midpoint
+
+    m = np.asarray(a, dtype=np.float64)
+    scale = float(np.max(np.abs(m))) if m.size else 0.0
+    with np.errstate(over="ignore"):
+        asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    assert asym <= TOL_SYM * scale
+    return _midpoint(m, m.T, scale)
+
+
+def _reference_sym_eig(a):
+    # sym_eig as it was before its bitwise-symmetric fast path: the midpoint
+    # on every input, an ldexp rescale and a contiguous copy at every
+    # exponent, and a sign fix column by column.
+    from sympspec.densemat import _binary_exponent, _jacobi_kernel
+
+    m = _reference_symmetrize(a)
+    n = m.shape[0]
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0))
+    exp = _binary_exponent(m)
+    work = np.ascontiguousarray(np.ldexp(m, -exp))
+    vecs = np.eye(n)
+    off_tol = JACOBI_OFF_TOL * float(np.sqrt(np.sum(work * work)))
+    assert _jacobi_kernel(work, vecs, off_tol, JACOBI_MAX_SWEEPS)[0]
+    vals = np.diag(work).copy()
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    vecs = vecs[:, order]
+    for j in range(n):
+        lead = int(np.argmax(np.abs(vecs[:, j])))
+        if vecs[lead, j] < 0.0:
+            vecs[:, j] = -vecs[:, j]
+    return np.ldexp(vals, exp), vecs
+
+
+def _reference_singular_values(a):
+    from sympspec.densemat import _binary_exponent
+
+    m = np.asarray(a, dtype=np.float64)
+    exp = _binary_exponent(m)
+    m = np.ldexp(m, -exp)
+    gram = m.T @ m
+    vals = _reference_sym_eig((gram + gram.T) / 2.0)[0]
+    return np.ldexp(np.sqrt(np.clip(vals, 0.0, None))[::-1], exp)
+
+
+def _reference_norm(a, kind):
+    from sympspec.densemat import _binary_exponent
+
+    m = np.asarray(a, dtype=np.float64)
+    if kind is NormKind.FROBENIUS:
+        exp = _binary_exponent(m)
+        m = np.ldexp(m, -exp)
+        return float(np.ldexp(np.sqrt(np.sum(m * m)), exp))
+    s = _reference_singular_values(m)
+    if kind is NormKind.OPERATOR:
+        return float(s[0]) if s.size else 0.0
+    return float(np.sum(s))
+
+
+def _parity_cases():
+    rng = np.random.default_rng(56)
+    cases = [a for a, _ in _jacobi_cases()]
+    # -0.0 opposite +0.0: the midpoint makes both +0.0; -0.0 opposite -0.0
+    # stays -0.0 on both paths.
+    cases.append(np.array([[1.0, -0.0, 0.5], [0.0, 2.0, -0.0], [0.5, -0.0, 3.0]]))
+    cases.append(np.array([[-0.0, 1.0], [1.0, -0.0]]))
+    # asymmetric within TOL_SYM: the midpoint path
+    a = random_spd_generic(rng, 5)
+    a[0, 3] += 1e-14 * float(np.max(np.abs(a)))
+    cases += [a, np.asfortranarray(a)]
+    # power-of-two scales, past the window and at the top of the range
+    m = random_spd_generic(rng, 6)
+    cases += [np.ldexp(m, 600), np.ldexp(m, -600)]
+    q = random_orthogonal(rng, 3)
+    cases.append(np.ldexp((q * np.array([0.3, 0.5, 0.9])) @ q.T, 1023))
+    cases += [np.zeros((0, 0)), np.array([[3.0]]), np.array([[-2.0]])]
+    # sign ties: eigenvectors with equal-magnitude entries of opposite sign
+    cases += [
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[2.0, -1.0], [-1.0, 2.0]]),
+        np.ones((4, 4)) - 2.0 * np.eye(4),
+    ]
+    return cases
+
+
+def _hex(x):
+    return np.asarray(x, dtype=np.float64).tobytes().hex()
+
+
+def test_call_path_matches_reference_bitwise():
+    from sympspec.densemat import _require_symmetric
+
+    for a in _parity_cases():
+        a_before = a.copy()
+        # the symmetrized matrix itself reaches callers other than sym_eig
+        assert _hex(_require_symmetric(a)) == _hex(_reference_symmetrize(a))
+        spec = sym_eig(a)
+        vals, vecs = _reference_sym_eig(a)
+        assert _hex(spec.eigenvalues) == _hex(vals)
+        assert _hex(spec.eigenvectors) == _hex(vecs)
+        assert _hex(singular_values(a)) == _hex(_reference_singular_values(a))
+        for kind in NormKind:
+            assert norm(a, kind).hex() == _reference_norm(a, kind).hex()
+        assert a.tobytes() == a_before.tobytes()
+
+
+def test_public_functions_leave_their_input_unwritten():
+    from sympspec.symplectic import symplectic_spectrum, williamson
+
+    m = random_spd_generic(np.random.default_rng(57), 4)
+    calls = [
+        sym_eig,
+        psd_sqrt,
+        spd_inverse,
+        singular_values,
+        condition_number,
+        symplectic_spectrum,
+        williamson,
+    ]
+    calls += [lambda a, kind=kind: norm(a, kind) for kind in NormKind]
+    for a in (m, np.asfortranarray(m), np.ldexp(m, 600)):
+        for fn in calls:
+            before = a.copy()
+            fn(a)
+            assert a.tobytes() == before.tobytes()

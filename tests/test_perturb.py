@@ -343,6 +343,12 @@ class TestWoodbury:
         with pytest.raises(PreconditionViolated):
             check_woodbury_norm(np.diag([0.4, 3.0]), np.eye(2), 0.25)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_epsilon(self, eps):
+        # before the 1/(2 eps) gate, which divides by zero at eps = 0
+        with pytest.raises(OutOfValidityRange, match="epsilon must be positive"):
+            check_woodbury_norm(np.diag([2.0, 3.0]), np.eye(2), eps)
+
 
 class TestKappaGrowth:
     def test_identity_case(self):
@@ -364,6 +370,11 @@ class TestKappaGrowth:
             lam_min = np.linalg.eigvalsh(m)[0]
             eps = 0.4 * lam_min
             assert check_kappa_growth(m, random_symmetric_unit(rng, 3), eps).holds
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_epsilon(self, eps):
+        with pytest.raises(OutOfValidityRange, match="epsilon must be positive"):
+            check_kappa_growth(np.diag([2.0, 3.0]), np.eye(2), eps)
 
 
 class TestEigvecBound:
@@ -442,6 +453,14 @@ class TestSweep:
         assert len(rep.grid) == 0
         assert len(rep.errors) == 2
         assert rep.slope is None
+
+    @pytest.mark.parametrize("name", ["woodbury", "kappa_growth"])
+    def test_zero_epsilon_point_is_recorded(self, name):
+        rep = sweep(np.diag([2.0, 3.0]), np.eye(2), [0.0, 1e-3], name)
+        assert [eps for eps, _ in rep.grid] == [1e-3]
+        assert rep.errors == (
+            (0.0, "OutOfValidityRange: epsilon must be positive, got 0.0"),
+        )
 
     def test_non_library_error_propagates(self, monkeypatch):
         # only SympspecError is a recorded per-point failure; anything else is a bug

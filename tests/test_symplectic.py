@@ -42,6 +42,13 @@ class TestStandardForm:
         with pytest.raises(ZeroModes):
             standard_form(0)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bytes_match_block_form(self, n):
+        # including the -0.0 entries of -eye in the lower-left block
+        eye, zero = np.eye(n), np.zeros((n, n))
+        block = np.block([[zero, eye], [-eye, zero]])
+        assert standard_form(n).tobytes() == block.tobytes()
+
 
 class TestIsSymplectic:
     def test_identity(self):
@@ -90,6 +97,24 @@ class TestSymplecticSpectrum:
         m = random_spd_generic(rng, 6)
         np.testing.assert_allclose(
             symplectic_spectrum(c * m), c * symplectic_spectrum(m), rtol=1e-11
+        )
+
+    def test_near_top_of_float_range(self):
+        # d = [1.78e308, 8e307] fits, though the unscaled Gram matrix of
+        # M^{1/2} sigma M^{1/2} would not.
+        m = 8e307 * (np.eye(4) + 0.99 * np.ones((4, 4)))
+        d = symplectic_spectrum(m)
+        np.testing.assert_allclose(d, williamson(m).d, rtol=1e-12, atol=0)
+        assert np.array_equal(symplectic_spectrum(np.ldexp(m, -600)), np.ldexp(d, -600))
+        with pytest.raises(NonFinite):
+            symplectic_spectrum(8.9e307 * (np.eye(4) + 0.99 * np.ones((4, 4))))
+
+    @pytest.mark.parametrize("k", [-300, 300])
+    def test_power_of_four_scaling_is_exact(self, k):
+        m = random_spd_generic(np.random.default_rng(24), 6)
+        assert np.array_equal(
+            symplectic_spectrum(np.ldexp(m, 2 * k)),
+            np.ldexp(symplectic_spectrum(m), 2 * k),
         )
 
     def test_errors(self):

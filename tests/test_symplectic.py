@@ -109,14 +109,6 @@ class TestSymplecticSpectrum:
         with pytest.raises(NonFinite):
             symplectic_spectrum(8.9e307 * (np.eye(4) + 0.99 * np.ones((4, 4))))
 
-    @pytest.mark.parametrize("k", [-300, 300])
-    def test_power_of_four_scaling_is_exact(self, k):
-        m = random_spd_generic(np.random.default_rng(24), 6)
-        assert np.array_equal(
-            symplectic_spectrum(np.ldexp(m, 2 * k)),
-            np.ldexp(symplectic_spectrum(m), 2 * k),
-        )
-
     def test_errors(self):
         with pytest.raises(NotPositiveDefinite):
             symplectic_spectrum(np.diag([1.0, -1.0]))

@@ -178,8 +178,6 @@ def _json_value(obj) -> str:
         return fmt_float(x) if np.isfinite(x) else "null"
     if isinstance(obj, str):
         return _json.dumps(obj)
-    if isinstance(obj, NormKind):
-        return _json.dumps(obj.value)
     if isinstance(obj, dict):
         items = ", ".join(f"{_json.dumps(str(k))}: {_json_value(v)}" for k, v in obj.items())
         return "{" + items + "}"

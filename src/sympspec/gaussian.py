@@ -153,9 +153,8 @@ def entropy_difference_bound(cov, cov2) -> BoundReport:
             )
     lhs = abs(ha.entropy - hb.entropy)
     kappa_term = math.sqrt(condition_number(a) * condition_number(b))
-    norm_a = norm(a, NormKind.OPERATOR)
-    lam_min = norm_a / condition_number(a)
-    log_arg = max(norm_a, (lam_min - 1.0) / 2.0)
+    # The max in the bound is ||g||: (||g^-1||^-1 - 1) / 2 never exceeds it.
+    log_arg = norm(a, NormKind.OPERATOR)
     rhs = kappa_term * (1.0 + math.log(log_arg)) * norm(a - b, NormKind.TRACE)
     return BoundReport.from_sides(
         lhs,

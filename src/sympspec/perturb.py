@@ -174,26 +174,17 @@ def bound_bhatia_jain(m, mp) -> BoundReport:
     The report carries the condition-number bound's rhs in its details.
     """
     a, b = _symmetric_pair(m, mp)
-    d = symplectic_spectrum(a)
-    dp = symplectic_spectrum(b)
-    lhs = norm(
-        np.diag(np.concatenate([d, d]) - np.concatenate([dp, dp])),
-        NormKind.OPERATOR,
-    )
+    spectrum = bound_spectrum(a, b, NormKind.OPERATOR)
     na = norm(a, NormKind.OPERATOR)
     nb = norm(b, NormKind.OPERATOR)
-    diff = norm(a - b, NormKind.OPERATOR)
-    rhs = (math.sqrt(na) + math.sqrt(nb)) * math.sqrt(diff)
-    spectrum_rhs = (
-        math.sqrt(condition_number(a) * condition_number(b)) * diff
-    )
+    rhs = (math.sqrt(na) + math.sqrt(nb)) * math.sqrt(norm(a - b, NormKind.OPERATOR))
     return BoundReport.from_sides(
-        lhs,
+        spectrum.lhs,
         rhs,
         NormKind.OPERATOR,
         True,
         "bhatia_jain",
-        details={"spectrum_rhs": spectrum_rhs},
+        details={"spectrum_rhs": spectrum.rhs},
     )
 
 
@@ -267,6 +258,15 @@ def _signed_spectral_gap(d: np.ndarray) -> float:
     return min(gaps)
 
 
+def _factor_pair(case: PerturbationCase):
+    # Williamson factorizations of M and of M + eps E, then M's smallest and
+    # largest eigenvalues (a repeat of the M solve inside williamson).
+    fac = williamson(case.m)
+    fac_eps = williamson(case.perturbed())
+    vals = sym_eig(case.m).eigenvalues
+    return fac, fac_eps, float(vals[0]), float(vals[-1])
+
+
 @_reuses_solves
 def bound_S(case: PerturbationCase) -> BoundReport:
     """Gap-dependent stability of the diagonalizing symplectic matrix.
@@ -278,13 +278,8 @@ def bound_S(case: PerturbationCase) -> BoundReport:
     nondegenerate spectrum; the gate eps < min(1/(2||M^-1||), ||M||) is
     recorded in ``preconditions_met``.
     """
-    fac = williamson(case.m)
-    fac_eps = williamson(case.perturbed())
-    alignment = gauge_align(fac, fac_eps)
-    lhs = alignment.distance
-
-    vals = sym_eig(case.m).eigenvalues
-    lam_min, lam_max = float(vals[0]), float(vals[-1])
+    fac, fac_eps, lam_min, lam_max = _factor_pair(case)
+    lhs = gauge_align(fac, fac_eps).distance
     kappa = lam_max / lam_min
     n = fac.n_modes
     delta = _signed_spectral_gap(fac.d)
@@ -316,14 +311,10 @@ def bound_gram(case: PerturbationCase) -> BoundReport:
     1/(2||M^-1||)) are evaluated and recorded; out-of-range epsilons are
     flagged non-binding rather than rejected.
     """
-    fac = williamson(case.m)
-    fac_eps = williamson(case.perturbed())
+    fac, fac_eps, lam_min, lam_max = _factor_pair(case)
     gram = spd_inverse(fac.S @ fac.S.T)
     gram_eps = spd_inverse(fac_eps.S @ fac_eps.S.T)
     lhs = norm(gram - gram_eps, NormKind.OPERATOR)
-
-    vals = sym_eig(case.m).eigenvalues
-    lam_min, lam_max = float(vals[0]), float(vals[-1])
     kappa = lam_max / lam_min
     inv_norm = 1.0 / lam_min
     n = fac.n_modes
@@ -421,13 +412,10 @@ def check_sqrt_lemma(a, b, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
     ||A^{1/2} - B^{1/2}|| <= ||A - B||_op^{1/2} * ||I|| in each implemented
     unitarily invariant norm.
     """
-    ra = psd_sqrt(a)
-    rb = psd_sqrt(b)
-    if ra.shape != rb.shape:
-        raise DimensionMismatch(f"shapes {ra.shape} and {rb.shape} differ")
-    lhs = norm(ra - rb, kind)
-    diff = norm(as_matrix(a) - as_matrix(b), NormKind.OPERATOR)
-    rhs = math.sqrt(diff) * identity_norm(ra.shape[0], kind)
+    a, b = _symmetric_pair(a, b)
+    lhs = norm(psd_sqrt(a) - psd_sqrt(b), kind)
+    diff = norm(a - b, NormKind.OPERATOR)
+    rhs = math.sqrt(diff) * identity_norm(a.shape[0], kind)
     return BoundReport.from_sides(lhs, rhs, kind, True, "sqrt_lemma")
 
 
@@ -436,12 +424,11 @@ def check_inv_lemma(a, b, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
 
     ||A^-1 - B^-1|| <= ||A^-1|| ||B^-1|| ||A - B||.
     """
+    a, b = _symmetric_pair(a, b)
     ia = spd_inverse(a)
     ib = spd_inverse(b)
-    if ia.shape != ib.shape:
-        raise DimensionMismatch(f"shapes {ia.shape} and {ib.shape} differ")
     lhs = norm(ia - ib, kind)
-    rhs = norm(ia, kind) * norm(ib, kind) * norm(as_matrix(a) - as_matrix(b), kind)
+    rhs = norm(ia, kind) * norm(ib, kind) * norm(a - b, kind)
     return BoundReport.from_sides(lhs, rhs, kind, True, "inv_lemma")
 
 

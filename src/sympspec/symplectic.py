@@ -85,6 +85,18 @@ def _even_dim(m: np.ndarray) -> int:
     return m.shape[0] // 2
 
 
+def _scaled_even(m) -> tuple[np.ndarray, int, int]:
+    # (M / 4^j, n, 2j) for a symmetric M of even dimension 2n. j is 0 unless
+    # M's entries are extreme; the symplectic spectrum of M / 4^j is d / 4^j
+    # exactly, since M^{1/2} scales by 2^-j.
+    mat = _require_symmetric(_require_square(as_matrix(m)))
+    n = _even_dim(mat)
+    exp = _binary_exponent(mat, even=True)
+    if exp:
+        mat = np.ldexp(mat, -exp)
+    return mat, n, exp
+
+
 def is_symplectic(s, tol: float = RESIDUAL_TOL) -> bool:
     """True iff ||S^T sigma S - sigma|| <= tol in operator norm."""
     m = _require_square(as_matrix(s))
@@ -100,13 +112,8 @@ def symplectic_spectrum(m) -> np.ndarray:
     Computed as the singular values of M^{1/2} sigma M^{1/2}, which come in
     coincident pairs; each pair is collapsed to its mean.
     """
-    mat = _require_symmetric(_require_square(as_matrix(m)))
-    n = _even_dim(mat)
-    # As in williamson: the spectrum of M / 4^j is d / 4^j exactly, since
-    # M^{1/2} scales by 2^-j; at that scale no pair sum below overflows.
-    exp = _binary_exponent(mat, even=True)
-    if exp:
-        mat = np.ldexp(mat, -exp)
+    mat, n, exp = _scaled_even(m)
+    # At the scale of M / 4^j no pair sum below overflows.
     _spd_spectrum(mat)
     root = psd_sqrt(mat)
     sigma = standard_form(n)
@@ -215,13 +222,8 @@ def williamson(m, _seed_order=None) -> WilliamsonFactorization:
     gauge (choice of K on degenerate eigenspaces) is fixed deterministically
     by canonical-basis seeds.
     """
-    mat = _require_symmetric(_require_square(as_matrix(m)))
-    n = _even_dim(mat)
-    # Factor M / 4^j when M's entries are extreme: S is the same, while d and
-    # residual_diag scale back by 4^j exactly.
-    exp = _binary_exponent(mat, even=True)
-    if exp:
-        mat = np.ldexp(mat, -exp)
+    mat, n, exp = _scaled_even(m)
+    # S is the same at M / 4^j, while d and residual_diag scale back by 4^j.
     spec = _spd_spectrum(mat)
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     inv_root = (vecs / np.sqrt(vals)) @ vecs.T
@@ -267,16 +269,6 @@ def symplectic_inverse(s) -> np.ndarray:
     return -sigma @ m.T @ sigma
 
 
-def _rotate_mode_columns(s: np.ndarray, n: int, j: int, angle: float) -> np.ndarray:
-    out = s.copy()
-    c, sn = np.cos(angle), np.sin(angle)
-    u = s[:, j].copy()
-    w = s[:, n + j].copy()
-    out[:, j] = c * u + sn * w
-    out[:, n + j] = -sn * u + c * w
-    return out
-
-
 def gauge_align(
     ref: WilliamsonFactorization, other: WilliamsonFactorization
 ) -> GaugeAlignment:
@@ -310,7 +302,9 @@ def gauge_align(
         q = float(a @ w - bcol @ u)
         theta = float(np.arctan2(q, p))
         angles[j] = theta
-        aligned = _rotate_mode_columns(aligned, n, j, theta)
+        c, sn = np.cos(theta), np.sin(theta)
+        aligned[:, j] = c * u + sn * w
+        aligned[:, n + j] = -sn * u + c * w
     distance = norm(ref.S - aligned, NormKind.OPERATOR)
 
     # The rotations commute with diag(d, d), so the aligned S still

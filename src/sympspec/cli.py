@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", dest="fmt", choices=["text", "csv", "json"], default="text")
     p.add_argument("--bits", action="store_true")
-    sub = p.add_subparsers(dest="command")
+    sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="symplectic eigenvalues of an SPD matrix")
     sp.add_argument("matrix")
@@ -500,8 +500,6 @@ def run(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
     try:
         args = build_parser().parse_args(argv)
-        if args.command is None:
-            raise UnknownCommand("no command given; see --help")
         return _COMMANDS[args.command](args, out)
     except SympspecError as exc:
         sys.stderr.write(f"error: {exc}\n")

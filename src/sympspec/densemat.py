@@ -378,10 +378,16 @@ def psd_sqrt(a) -> np.ndarray:
 
 def spd_inverse(a) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix."""
-    spec = _spd_spectrum(a)
+    # Invert A / 2^k, whose largest entry is near 1, then scale back;
+    # _unscale raises NonFinite where A^-1 passes the largest float.
+    m = _require_square(as_matrix(a))
+    exp = _binary_exponent(m)
+    if exp:
+        m = np.ldexp(m, -exp)
+    spec = _spd_spectrum(m)
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     w = (vecs / vals) @ vecs.T
-    return (w + w.T) / 2.0
+    return _unscale((w + w.T) / 2.0, -exp)
 
 
 def singular_values(a) -> np.ndarray:

@@ -90,13 +90,7 @@ def reduced_state(cov, modes) -> np.ndarray:
     if len(idx) != len(requested):
         raise BadIndices("duplicate mode indices")
     keep = idx + [i + n for i in idx]
-    out = c[np.ix_(keep, keep)]
-    return (out + out.T) / 2.0
-
-
-def _g(x: float) -> float:
-    # x log x, continuously extended by g(0) = 0.
-    return 0.0 if x <= 0.0 else x * math.log(x)
+    return c[np.ix_(keep, keep)]
 
 
 @dataclass(frozen=True)
@@ -120,10 +114,13 @@ def entanglement_entropy(cov) -> EntropyReport:
         raise InvalidCovariance(
             f"min symplectic eigenvalue {min_d:.12g} violates the uncertainty bound"
         )
+    # With b = (d - 1) / 2, g(b + 1) - g(b) = log1p(b) + b log1p(1 / b): no
+    # product of the form x log x, so no overflow for any finite d.
     terms = np.zeros(d.size)
     for k, dk in enumerate(d):
         if dk > 1.0:
-            terms[k] = _g((dk + 1.0) / 2.0) - _g((dk - 1.0) / 2.0)
+            b = (dk - 1.0) / 2.0
+            terms[k] = math.log1p(b) + b * math.log1p(1.0 / b)
     return EntropyReport(
         entropy=float(np.sum(terms)),
         per_mode_terms=terms,

@@ -490,6 +490,8 @@ def check_eigvec_bound(a, b, epsilon: float) -> BoundReport:
     report carries the worst mode.
     """
     mat, pert = _symmetric_pair(a, b)
+    if mat.size == 0:
+        raise OutOfValidityRange("matrices must not be empty")
     # epsilon = 0 is the unperturbed case, where both sides are 0.
     if not epsilon >= 0.0:
         raise OutOfValidityRange(f"epsilon must not be negative, got {epsilon}")

@@ -11,6 +11,7 @@ import pytest
 
 from sympspec.cli import (
     CSV_HEADER,
+    build_parser,
     emit_report,
     fmt_float,
     format_matrix,
@@ -19,7 +20,7 @@ from sympspec.cli import (
     run,
 )
 from sympspec.densemat import NormKind
-from sympspec.errors import ParseError, RaggedRows
+from sympspec.errors import ParseError, RaggedRows, UnknownCommand
 from sympspec.gaussian import entropy_difference_bound
 from sympspec.perturb import (
     BoundReport,
@@ -162,6 +163,15 @@ class TestCommands:
 
     def test_unknown_command(self):
         code, _ = _run_text(["frobnicate"])
+        assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["--format", "xml", "spectrum", str(DATA / "m91.txt")]]
+    )
+    def test_parse_problems_are_unknown_command(self, argv):
+        with pytest.raises(UnknownCommand):
+            build_parser().parse_args(argv)
+        code, _ = _run_text(argv)
         assert code == 1
 
     def test_demo_degenerate(self):

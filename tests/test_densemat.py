@@ -192,6 +192,17 @@ class TestSpdInverse:
         with pytest.raises(NotPositiveDefinite):
             spd_inverse(np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_power_of_two_scaling_is_exact(self, k):
+        a = random_spd_generic(np.random.default_rng(64), 6)
+        assert np.array_equal(spd_inverse(np.ldexp(a, k)), np.ldexp(spd_inverse(a), -k))
+
+    def test_inverse_beyond_float_range_raises(self):
+        # Entries near 1e-310 are finite; the inverse's, near 1e310, are not.
+        a = random_spd(np.random.default_rng(65), 4, 10.0)
+        with pytest.raises(NonFinite):
+            spd_inverse(a * 1e-310)
+
 
 class TestNorms:
     def test_identity_trace(self):

@@ -21,6 +21,7 @@ from sympspec.gaussian import (
     reduced_state,
     validate_covariance,
 )
+from sympspec.symplectic import symplectic_spectrum
 
 
 class TestValidateCovariance:
@@ -92,6 +93,13 @@ class TestReducedState:
         with pytest.raises(BadIndices):
             reduced_state(np.eye(4), [0, 0])
 
+    def test_top_of_float_range(self):
+        # x + x overflows at 1.7e308; the slice keeps the entries as they are.
+        cov = np.diag([1.7e308, 1.0, 1.7e308, 1.0])
+        np.testing.assert_array_equal(
+            reduced_state(cov, [0]), np.diag([1.7e308, 1.7e308])
+        )
+
 
 class TestEntanglementEntropy:
     def test_pure_state_zero(self):
@@ -138,6 +146,25 @@ class TestEntanglementEntropy:
         with pytest.raises(InvalidCovariance):
             entanglement_entropy(0.5 * np.eye(2))
 
+    def test_matches_x_log_x_form(self):
+        def g(x):
+            return x * math.log(x)
+
+        for d in np.linspace(1.1, 3.0, 40):
+            rep = entanglement_entropy(np.diag([d, d]))
+            dk = rep.min_symplectic_eigenvalue
+            want = g((dk + 1.0) / 2.0) - g((dk - 1.0) / 2.0)
+            assert rep.entropy == pytest.approx(want, rel=1e-14)
+
+    def test_top_of_float_range(self):
+        # Symplectic eigenvalues near 1e307, where x log x at x = (d + 1) / 2
+        # overflows; each term is then log(d / 2) + 1 to rounding.
+        cov = np.full((4, 4), 1e308) + np.diag([1e307] * 4)
+        rep = entanglement_entropy(cov)
+        d = symplectic_spectrum(cov)
+        np.testing.assert_allclose(rep.per_mode_terms, np.log(d / 2.0) + 1.0, rtol=1e-14)
+        assert rep.entropy == pytest.approx(float(np.sum(rep.per_mode_terms)))
+
 
 class TestEntropyDifferenceBound:
     def test_equal_states(self):
@@ -174,6 +201,11 @@ class TestEntropyDifferenceBound:
             cov2 = cov + pert
             r = entropy_difference_bound(cov, cov2)
             assert r.holds
+
+    def test_top_of_float_range(self):
+        r = entropy_difference_bound(1e307 * np.eye(2), 1.0001e307 * np.eye(2))
+        assert r.lhs == pytest.approx(math.log(1.0001), rel=1e-6)
+        assert r.holds
 
     def test_near_boundary_logged_not_asserted(self):
         # close to min_d = 1 the right side degrades; the checker must still

@@ -10,6 +10,8 @@ from sympspec.densemat import NormKind, norm
 from sympspec.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
+    NonFinite,
+    NotInvertible,
     NotPositiveDefinite,
     OutOfValidityRange,
     PreconditionViolated,
@@ -310,6 +312,12 @@ class TestSqrtLemma:
             for kind in ALL_KINDS:
                 assert check_sqrt_lemma(a, b, kind).holds
 
+    def test_shape_gate_comes_first(self):
+        # Two faults, mismatched shapes and an indefinite A: the gate reports
+        # the shapes before any square root is taken.
+        with pytest.raises(DimensionMismatch):
+            check_sqrt_lemma(-np.eye(2), np.eye(4))
+
 
 class TestInvLemma:
     def test_scalar_equality(self):
@@ -326,8 +334,21 @@ class TestInvLemma:
             for kind in ALL_KINDS:
                 assert check_inv_lemma(a, b, kind).holds
 
+    def test_shape_gate_comes_first(self):
+        with pytest.raises(DimensionMismatch):
+            check_inv_lemma(-np.eye(2), np.eye(4))
+
+    def test_inverse_beyond_float_range_raises(self):
+        a = random_spd(np.random.default_rng(78), 4, 10.0)
+        with pytest.raises(NonFinite):
+            check_inv_lemma(a * 1e-310, a * 2e-310)
+
 
 class TestWoodbury:
+    def test_singular_matrix(self):
+        with pytest.raises(NotInvertible):
+            check_woodbury_norm(np.diag([1.0, 0.0]), np.eye(2), 1e-3)
+
     def test_identity_floor(self):
         rng = np.random.default_rng(78)
         r = check_woodbury_norm(np.eye(2), rng.standard_normal((2, 2)), 0.25)
@@ -396,6 +417,10 @@ class TestEigvecBound:
         b = random_symmetric_unit(rng, 3)
         with pytest.raises(OutOfValidityRange):
             check_eigvec_bound(np.diag([1.0, 2.0, 4.0]), b, -1.0)
+
+    def test_empty_matrices(self):
+        with pytest.raises(OutOfValidityRange):
+            check_eigvec_bound(np.zeros((0, 0)), np.zeros((0, 0)), 1e-3)
 
     def test_repeated_eigenvalue(self):
         rng = np.random.default_rng(83)

@@ -128,14 +128,16 @@ def _jacobi_kernel_loop(a, v, off_tol, max_sweeps):
     return bool(np.sqrt(off2) <= off_tol), max_sweeps
 
 
-def _off_norm2(a):
-    # Squared off-diagonal Frobenius norm, summed in the loop kernel's
-    # row-major order; a pairwise sum could move the convergence test.
-    off2 = 0.0
-    for i, row in enumerate(a.tolist()):
-        for x in row[i + 1:]:
-            off2 += 2.0 * x * x
-    return off2
+def _off_norm2_in_order(a, upper):
+    # Squared off-diagonal Frobenius norm of a square `a`, given the mask
+    # `upper` of its strict upper triangle, with the loop kernel's bits: the
+    # mask gathers the terms in its row-major order and add.accumulate sums
+    # them left to right, as the loop does (a pairwise np.sum would not).
+    # The loop's leading 0.0 + t0 is exact, since every term is >= +0.
+    terms = a[upper]
+    if not terms.size:
+        return 0.0
+    return float(np.add.accumulate((2.0 * terms) * terms)[-1])
 
 
 def _jacobi_kernel(a, v, off_tol, max_sweeps):
@@ -145,8 +147,11 @@ def _jacobi_kernel(a, v, off_tol, max_sweeps):
     # and m.T).
     # The loop kernel's column update then equals its row update outside
     # rows p and q, so rotating rows p and q of the stacked array [a | v^T]
-    # updates a's rows and v's columns at once; the new rows are copied into
-    # a's columns, and the four closed forms overwrite the (p, q) block.
+    # updates a's rows and v's columns at once. The closed forms for (p, q),
+    # (p, p) and (q, q) are stored into the new rows, which are then copied
+    # into a's columns: the column-p copy sets (q, p) to the 0.0 at (p, q).
+    # Neither copy touches another row's diagonal entry, so only the closed
+    # forms change the diagonal, and `dg` keeps it as Python floats too.
     # Rows rotate in place through views bound once per call: with the
     # scratch rows t1 = s*w_q and t2 = s*w_p, w_p*c - t1 is c*w_p - s*w_q
     # and w_q*c + t2 is s*w_p + c*w_q, as IEEE products and sums commute.
@@ -160,13 +165,16 @@ def _jacobi_kernel(a, v, off_tol, max_sweeps):
     arows = list(wa)
     acols = list(wa.T)
     item = wa.item
+    dg = wa.diagonal().tolist()
+    r = np.arange(n)
+    upper = np.less.outer(r, r)
     t1 = np.empty(w.shape[1])
     t2 = np.empty(w.shape[1])
     c0 = np.empty(())
     s0 = np.empty(())
     mul = np.multiply
     for sweep in range(max_sweeps):
-        if math.sqrt(_off_norm2(wa)) <= off_tol:
+        if math.sqrt(_off_norm2_in_order(wa, upper)) <= off_tol:
             converged, sweeps = True, sweep
             break
         for p in range(n - 1):
@@ -176,8 +184,8 @@ def _jacobi_kernel(a, v, off_tol, max_sweeps):
                 apq = item(p, q)
                 if abs(apq) <= skip:
                     continue
-                app = item(p, p)
-                aqq = item(q, q)
+                app = dg[p]
+                aqq = dg[q]
                 tau = (aqq - app) / (2.0 * apq)
                 if tau >= 0.0:
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
@@ -195,14 +203,13 @@ def _jacobi_kernel(a, v, off_tol, max_sweeps):
                 wp -= t1
                 wq *= c0
                 wq += t2
+                dg[p] = ap[p] = app - t * apq
+                dg[q] = aq[q] = aqq + t * apq
+                ap[q] = 0.0
                 acols[p][...] = ap
                 acols[q][...] = aq
-                ap[q] = 0.0
-                aq[p] = 0.0
-                ap[p] = app - t * apq
-                aq[q] = aqq + t * apq
     else:
-        converged = bool(math.sqrt(_off_norm2(wa)) <= off_tol)
+        converged = bool(math.sqrt(_off_norm2_in_order(wa, upper)) <= off_tol)
         sweeps = max_sweeps
     a[...] = wa
     v[...] = w[:, n:].T

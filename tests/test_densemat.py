@@ -319,7 +319,7 @@ def _jacobi_cases():
     zero = np.zeros((6, 6))
     doubled = np.block([[zero, -b], [b, zero]])
     cases = [(sym(6), JACOBI_MAX_SWEEPS) for _ in range(5)]
-    cases += [(sym(dim), JACOBI_MAX_SWEEPS) for dim in (1, 2, 20, 40, 80)]
+    cases += [(sym(dim), JACOBI_MAX_SWEEPS) for dim in (1, 2, 3, 5, 20, 40, 80)]
     cases += [
         (np.eye(7), JACOBI_MAX_SWEEPS),
         ((repeated + repeated.T) / 2.0, JACOBI_MAX_SWEEPS),
@@ -351,6 +351,33 @@ def test_jacobi_kernel_matches_loop_bitwise():
         assert np.array_equal(a_out, a_ref)
         assert np.array_equal(v_out, v_ref)
     assert unconverged == 2
+
+
+def _off_norm2_loop(a):
+    # The loop kernel's squared off-diagonal norm: row-major, left to right.
+    off2 = 0.0
+    for i, row in enumerate(a.tolist()):
+        for x in row[i + 1:]:
+            off2 += 2.0 * x * x
+    return off2
+
+
+def test_off_norm_matches_loop_bitwise():
+    # The kernel's vectorized off-norm decides convergence, so it must give
+    # the loop's bits; np.sum's pairwise order would not.
+    from sympspec.densemat import _off_norm2_in_order
+
+    rng = np.random.default_rng(56)
+    mats = [a for a, _ in _jacobi_cases()]
+    for dim in (1, 2, 3, 7, 16, 33, 64, 120):
+        for scale in (1e-30, 1.0, 1e30):
+            g = rng.standard_normal((dim, dim))
+            mats.append(scale * (g + g.T))
+    for a in mats:
+        dim = a.shape[0]
+        upper = np.triu(np.ones((dim, dim), dtype=bool), 1)
+        expected = _off_norm2_loop(a)
+        assert _off_norm2_in_order(a, upper).hex() == expected.hex()
 
 
 def test_sqrt_is_operator_monotone_compatible():

@@ -9,6 +9,7 @@ inputs and seed produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -309,8 +310,8 @@ def _parse_eps_grid(spec: str):
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ParseError(f"bad --eps grid: {exc}") from exc
-        if count < 1 or start <= 0 or stop <= start:
-            raise ParseError("--eps grid needs 0 < start < stop and count >= 1")
+        if count < 1 or not 0.0 < start < stop < math.inf:
+            raise ParseError("--eps grid needs 0 < start < stop < inf and count >= 1")
         return np.geomspace(start, stop, count)
     try:
         return [float(tok) for tok in spec.split(",") if tok]

@@ -9,6 +9,7 @@ the symplectic covariance matrices, where every symplectic eigenvalue is 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,10 @@ def reduced_state(cov, modes) -> np.ndarray:
     if c.shape[0] % 2 != 0:
         raise BadIndices(f"covariance dimension {c.shape[0]} is odd")
     n = c.shape[0] // 2
-    requested = [int(i) for i in modes]
+    try:
+        requested = [operator.index(i) for i in modes]
+    except TypeError as exc:
+        raise BadIndices(f"mode indices must be integers: {exc}") from exc
     idx = sorted(set(requested))
     if not idx:
         raise BadIndices("modes must be a nonempty index set")

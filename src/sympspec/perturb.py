@@ -137,10 +137,18 @@ def _symmetric_pair(m, mp):
     return a, b
 
 
+def _require_finite(name: str, value) -> None:
+    # Scalars are checked before numpy sees them: inf * 0 would warn and
+    # then fail later as NonFinite, or pass as a meaningless result.
+    if not math.isfinite(value):
+        raise OutOfValidityRange(f"{name} must be finite, got {value}")
+
+
 def _require_positive_epsilon(epsilon):
     # NaN fails too; the bounds divide by epsilon.
     if not epsilon > 0.0:
         raise OutOfValidityRange(f"epsilon must be positive, got {epsilon}")
+    _require_finite("epsilon", epsilon)
 
 
 def _unit_direction(e):
@@ -203,6 +211,8 @@ def counterexample_scaling(x: float, epsilon: float, c: float) -> BoundReport:
         raise OutOfValidityRange(f"epsilon must lie in (0, 1/10), got {epsilon}")
     if not c > 0.0:
         raise OutOfValidityRange(f"c must be positive, got {c}")
+    _require_finite("x", x)
+    _require_finite("c", c)
     d0 = math.sqrt(x)
     shifted = x - 2.0 * epsilon * (x - 1.0) - 29.0 * epsilon * epsilon
     if shifted <= 0.0:
@@ -495,6 +505,7 @@ def check_eigvec_bound(a, b, epsilon: float) -> BoundReport:
     # epsilon = 0 is the unperturbed case, where both sides are 0.
     if not epsilon >= 0.0:
         raise OutOfValidityRange(f"epsilon must not be negative, got {epsilon}")
+    _require_finite("epsilon", epsilon)
     if norm(pert, NormKind.OPERATOR) > 1.0 + 1e-9:
         raise PreconditionViolated("||B||_op must not exceed 1")
     spec = sym_eig(mat)
@@ -604,6 +615,8 @@ def sweep(m, e, eps_grid, bound: str, kind: NormKind = NormKind.OPERATOR) -> Swe
             f"unknown bound {bound!r}; choose from {sorted(SWEEPABLE)}"
         )
     grid = [float(x) for x in eps_grid]
+    for eps in grid:
+        _require_finite("epsilon", eps)
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
         raise OutOfValidityRange("epsilon grid must be nonempty and strictly increasing")
     mat = as_matrix(m)

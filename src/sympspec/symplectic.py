@@ -98,11 +98,21 @@ def _scaled_even(m) -> tuple[np.ndarray, int, int]:
 
 
 def is_symplectic(s, tol: float = RESIDUAL_TOL) -> bool:
-    """True iff ||S^T sigma S - sigma|| <= tol in operator norm."""
+    """True iff ||S^T sigma S - sigma|| <= tol in operator norm.
+
+    The product S^T sigma S rounds at about 2^-52 ||S||^2, so once S has
+    entries of about 1e4 no S passes tol = 1e-8, symplectic or not; a
+    rescale cannot help, since the test is on that product. Where the
+    product overflows, the residual is not finite and the answer is False.
+    """
     m = _require_square(as_matrix(s))
     n = _even_dim(m)
     sigma = standard_form(n)
-    return norm(m.T @ sigma @ m - sigma, NormKind.OPERATOR) <= tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = m.T @ sigma @ m - sigma
+    if not np.isfinite(resid).all():
+        return False
+    return norm(resid, NormKind.OPERATOR) <= tol
 
 
 @_reuses_solves

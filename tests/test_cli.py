@@ -179,6 +179,15 @@ class TestCommands:
         assert code == 0
         assert "commutator_norm=" in text
 
+    @pytest.mark.parametrize(
+        "x, c, message", [("inf", "1", "x must be finite"), ("33", "inf", "c must be finite")]
+    )
+    def test_counterexample_non_finite(self, x, c, message, capsys):
+        code, text = _run_text(["counterexample", "--x", x, "--eps", "0.05", "--c", c])
+        assert code == 1
+        assert text == ""
+        assert message in capsys.readouterr().err
+
     def test_counterexample_json(self):
         code, text = _run_text(
             ["--format", "json", "counterexample", "--x", "33", "--eps", "0.05", "--c", "1"]
@@ -411,6 +420,29 @@ class TestBoundParity:
         assert code == 1
         assert text == ""
         assert "epsilon must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, (flags, _) in CHECK_CALLS.items() if "--eps" in flags)
+    )
+    def test_infinite_epsilon(self, name, files, capsys):
+        flags, _ = CHECK_CALLS[name]
+        m, values = self._flags(name, files)
+        argv = ["check", name, "-m", m[0]]
+        for flag in flags:
+            argv += [flag, "inf" if flag == "--eps" else values[flag][0]]
+        code, text = _run_text(argv)
+        assert code == 1
+        assert text == ""
+        assert "epsilon must be finite, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["1e-3,inf", "nan,1e-3", "1e-3:inf:4", "nan:1e-3:4"])
+    def test_sweep_non_finite_grid(self, eps, files, capsys):
+        # rejected before any point runs, and before numpy sees the value
+        argv = ["sweep", "spectrum", "-m", files["m"][0], "-e", files["e"][0]]
+        code, text = _run_text(argv + ["--eps", eps])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("name", ["woodbury", "kappa-growth"])
     def test_sweep_records_zero_epsilon(self, name, files, capsys):

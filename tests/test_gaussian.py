@@ -93,6 +93,15 @@ class TestReducedState:
         with pytest.raises(BadIndices):
             reduced_state(np.eye(4), [0, 0])
 
+    @pytest.mark.parametrize("modes", [[0.7], [1.0], [np.float64(0.0)], ["0"]])
+    def test_non_integer_indices(self, modes):
+        # int() would truncate 0.7 to mode 0
+        with pytest.raises(BadIndices, match="mode indices must be integers"):
+            reduced_state(np.eye(4), modes)
+
+    def test_numpy_integer_indices(self):
+        np.testing.assert_array_equal(reduced_state(np.eye(8), np.array([1])), np.eye(2))
+
     def test_top_of_float_range(self):
         # x + x overflows at 1.7e308; the slice keeps the entries as they are.
         cov = np.diag([1.7e308, 1.0, 1.7e308, 1.0])

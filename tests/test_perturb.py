@@ -55,6 +55,23 @@ class TestPerturbationCase:
             PerturbationCase(np.eye(2), np.eye(2), 0.0)
 
 
+# Every epsilon gate, with inputs that pass it at a finite epsilon.
+EPSILON_GATES = {
+    "case": lambda eps: PerturbationCase(np.eye(2), np.eye(2), eps),
+    "woodbury": lambda eps: check_woodbury_norm(np.diag([2.0, 3.0]), np.eye(2), eps),
+    "kappa_growth": lambda eps: check_kappa_growth(np.diag([2.0, 3.0]), np.eye(2), eps),
+    "eigvec": lambda eps: check_eigvec_bound(np.diag([1.0, 2.0, 4.0]), 0.5 * np.eye(3), eps),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EPSILON_GATES))
+def test_rejects_infinite_epsilon(name):
+    # inf * E would otherwise reach numpy as inf * 0
+    EPSILON_GATES[name](1e-3)
+    with pytest.raises(OutOfValidityRange, match="epsilon must be finite, got inf"):
+        EPSILON_GATES[name](math.inf)
+
+
 class TestBoundSpectrum:
     def test_scaling_equality(self):
         for kind in ALL_KINDS:
@@ -132,6 +149,12 @@ class TestCounterexampleScaling:
 
     def test_x0_beyond_scan_cap_is_none(self):
         assert counterexample_scaling(50.0, 1e-4, 1000.0).details["x0"] is None
+
+    @pytest.mark.parametrize("x, c, name", [(math.inf, 1.0, "x"), (33.0, math.inf, "c")])
+    def test_rejects_non_finite_x_and_c(self, x, c, name):
+        # at x = inf the rhs is inf - inf; at c = inf the lhs is inf
+        with pytest.raises(OutOfValidityRange, match=f"{name} must be finite"):
+            counterexample_scaling(x, 0.05, c)
 
     def test_closed_forms_match_library(self):
         x, eps = 33.0, 0.05
@@ -502,6 +525,12 @@ class TestSweep:
         # inv_lemma would otherwise form M + eps E and fail inside numpy
         with pytest.raises(DimensionMismatch):
             sweep(np.eye(4), np.eye(2), [1e-4, 1e-3], name)
+
+    @pytest.mark.parametrize("grid", [[1e-3, math.inf], [1e-3, math.nan], [math.nan, 1e-3]])
+    def test_rejects_non_finite_grid(self, grid):
+        # before the loop, so no point is recorded as a failure
+        with pytest.raises(OutOfValidityRange, match="epsilon must be finite"):
+            sweep(np.eye(2), np.eye(2), grid, "spectrum")
 
     def test_rejects_bad_grid(self):
         with pytest.raises(OutOfValidityRange):

@@ -1,5 +1,7 @@
 """Symplectic form, spectra, Williamson factorizations, gauge alignment."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,20 @@ class TestIsSymplectic:
     def test_odd_dimension(self):
         with pytest.raises(OddDimension):
             is_symplectic(np.eye(3), 1e-12)
+
+    def test_magnitude_limit(self):
+        # R(0.3) diag(2^k, 2^-k) R(0.7) is symplectic for every k, but S^T
+        # sigma S rounds at about 2^-52 ||S||^2: past entries of ~1e4 no S
+        # passes tol = 1e-8, and past ~2^512 the product overflows.
+        def rot(t):
+            return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+        def squeezed(k):
+            return rot(0.3) @ np.diag([2.0 ** k, 2.0 ** -k]) @ rot(0.7)
+
+        assert is_symplectic(squeezed(14), 1e-8)
+        assert not is_symplectic(squeezed(20), 1e-8)
+        assert not is_symplectic(squeezed(520), 1e-8)
 
 
 class TestSymplecticSpectrum:

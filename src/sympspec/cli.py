@@ -201,55 +201,47 @@ def _report_dict(epsilon, report: BoundReport) -> dict:
     }
 
 
+def _render(fmt: str, json, text, csv=None) -> str:
+    """One report in the chosen format: the JSON value, the CSV lines, or the
+    text lines. A report without CSV lines prints its text lines for CSV."""
+    if fmt == "json":
+        return _json_value(json) + "\n"
+    if fmt == "csv" and csv is not None:
+        return "\n".join(csv) + "\n"
+    if fmt in ("text", "csv"):
+        return "\n".join(text) + "\n"
+    raise UnknownCommand(f"unknown output format {fmt!r}")
+
+
 CSV_HEADER = "epsilon,lhs,rhs,norm,holds,preconditions_met,label"
+
+
+def _report_forms(reports, slope=_UNSET):
+    """The JSON value, text lines and CSV lines of (epsilon, BoundReport) pairs."""
+    body, text, csv = [], [], [CSV_HEADER]
+    for eps, r in reports:
+        body.append(_report_dict(eps, r))
+        # (name, value) in text order; CSV moves the label to the end
+        fields = [
+            ("label", r.label),
+            ("epsilon", "" if eps is None else fmt_float(eps)),
+            ("lhs", fmt_float(r.lhs)),
+            ("rhs", fmt_float(r.rhs)),
+            ("norm", r.norm_kind.value),
+            ("holds", _json_value(r.holds)),
+            ("preconditions_met", _json_value(r.preconditions_met)),
+        ]
+        text.append(" ".join(f"{k}={v}" for k, v in fields if eps is not None or k != "epsilon"))
+        csv.append(",".join(v for _, v in fields[1:] + fields[:1]))
+    if slope is _UNSET:
+        return body, text, csv
+    shown = "nan" if slope is None else fmt_float(slope)
+    return {"points": body, "slope": slope}, text + ["slope=" + shown], csv + ["# slope=" + shown]
 
 
 def emit_report(reports, fmt: str, slope=_UNSET) -> str:
     """Serialize (epsilon, BoundReport) pairs as text, CSV, or JSON."""
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        for eps, r in reports:
-            lines.append(
-                ",".join(
-                    [
-                        "" if eps is None else fmt_float(eps),
-                        fmt_float(r.lhs),
-                        fmt_float(r.rhs),
-                        r.norm_kind.value,
-                        "true" if r.holds else "false",
-                        "true" if r.preconditions_met else "false",
-                        r.label,
-                    ]
-                )
-            )
-        if slope is not _UNSET:
-            lines.append("# slope=" + ("nan" if slope is None else fmt_float(slope)))
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        body = [_report_dict(eps, r) for eps, r in reports]
-        if slope is not _UNSET:
-            return _json_value({"points": body, "slope": slope}) + "\n"
-        return _json_value(body) + "\n"
-    if fmt == "text":
-        lines = []
-        for eps, r in reports:
-            parts = [f"label={r.label}"]
-            if eps is not None:
-                parts.append(f"epsilon={fmt_float(eps)}")
-            parts.extend(
-                [
-                    f"lhs={fmt_float(r.lhs)}",
-                    f"rhs={fmt_float(r.rhs)}",
-                    f"norm={r.norm_kind.value}",
-                    f"holds={'true' if r.holds else 'false'}",
-                    f"preconditions_met={'true' if r.preconditions_met else 'false'}",
-                ]
-            )
-            lines.append(" ".join(parts))
-        if slope is not _UNSET:
-            lines.append("slope=" + ("nan" if slope is None else fmt_float(slope)))
-        return "\n".join(lines) + "\n"
-    raise UnknownCommand(f"unknown output format {fmt!r}")
+    return _render(fmt, *_report_forms(reports, slope))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -347,12 +339,8 @@ def _check_flag(args, flag: str):
 
 def _cmd_spectrum(args, out) -> int:
     d = symplectic_spectrum(load_matrix(args.matrix))
-    if args.fmt == "json":
-        out.write(_json_value(list(d)) + "\n")
-    elif args.fmt == "csv":
-        out.write("d\n" + "\n".join(fmt_float(x) for x in d) + "\n")
-    else:
-        out.write("\n".join(fmt_float(x) for x in d) + "\n")
+    text = [fmt_float(x) for x in d]
+    out.write(_render(args.fmt, list(d), text, csv=["d"] + text))
     return 0
 
 
@@ -360,27 +348,24 @@ def _cmd_decompose(args, out) -> int:
     fac = williamson(load_matrix(args.matrix))
     scale = max(1.0, float(np.max(np.abs(fac.d))))
     ok = fac.residual_diag <= RESIDUAL_TOL * scale and fac.residual_symp <= RESIDUAL_TOL
-    if args.fmt == "json":
-        out.write(
-            _json_value(
-                {
-                    "n_modes": fac.n_modes,
-                    "d": list(fac.d),
-                    "S": [list(row) for row in fac.S],
-                    "residual_diag": fac.residual_diag,
-                    "residual_symp": fac.residual_symp,
-                    "residuals_ok": ok,
-                }
-            )
-            + "\n"
-        )
-    else:
-        out.write(f"n_modes={fac.n_modes}\n")
-        out.write("d: " + " ".join(fmt_float(x) for x in fac.d) + "\n")
-        out.write("S:\n" + format_matrix(fac.S))
-        out.write(f"residual_diag={fmt_float(fac.residual_diag)}\n")
-        out.write(f"residual_symp={fmt_float(fac.residual_symp)}\n")
-        out.write(f"residuals_ok={'true' if ok else 'false'}\n")
+    report = {
+        "n_modes": fac.n_modes,
+        "d": list(fac.d),
+        "S": [list(row) for row in fac.S],
+        "residual_diag": fac.residual_diag,
+        "residual_symp": fac.residual_symp,
+        "residuals_ok": ok,
+    }
+    text = [
+        f"n_modes={fac.n_modes}",
+        "d: " + " ".join(fmt_float(x) for x in fac.d),
+        "S:",
+        format_matrix(fac.S).rstrip("\n"),
+        f"residual_diag={fmt_float(fac.residual_diag)}",
+        f"residual_symp={fmt_float(fac.residual_symp)}",
+        f"residuals_ok={_json_value(ok)}",
+    ]
+    out.write(_render(args.fmt, report, text))
     return 0
 
 
@@ -424,43 +409,32 @@ def _cmd_entropy(args, out) -> int:
     h = rep.entropy * scale
     terms = [t * scale for t in rep.per_mode_terms]
     unit = "bits" if args.bits else "nats"
-    if args.fmt == "json":
-        out.write(
-            _json_value(
-                {
-                    "entropy": h,
-                    "per_mode_terms": terms,
-                    "min_symplectic_eigenvalue": rep.min_symplectic_eigenvalue,
-                    "unit": unit,
-                }
-            )
-            + "\n"
-        )
-    elif args.fmt == "csv":
-        out.write("mode,term\n")
-        for k, t in enumerate(terms, start=1):
-            out.write(f"{k},{fmt_float(t)}\n")
-        out.write(f"# H={fmt_float(h)} unit={unit}\n")
-    else:
-        out.write(fmt_float(h) + "\n")
-        for k, t in enumerate(terms, start=1):
-            out.write(f"mode {k} {fmt_float(t)}\n")
+    report = {
+        "entropy": h,
+        "per_mode_terms": terms,
+        "min_symplectic_eigenvalue": rep.min_symplectic_eigenvalue,
+        "unit": unit,
+    }
+    text = [fmt_float(h)] + [f"mode {k} {fmt_float(t)}" for k, t in enumerate(terms, start=1)]
+    csv = (
+        ["mode,term"]
+        + [f"{k},{fmt_float(t)}" for k, t in enumerate(terms, start=1)]
+        + [f"# H={fmt_float(h)} unit={unit}"]
+    )
+    out.write(_render(args.fmt, report, text, csv))
     return 0
 
 
 def _cmd_counterexample(args, out) -> int:
     report = counterexample_scaling(args.x, args.eps, args.c)
-    if args.fmt == "text":
-        out.write(
-            "fires={} lhs={} rhs={} x0={}\n".format(
-                "true" if report.holds else "false",
-                fmt_float(report.lhs),
-                fmt_float(report.rhs),
-                report.details["x0"],
-            )
-        )
-    else:
-        out.write(emit_report([(args.eps, report)], args.fmt))
+    body, _, csv = _report_forms([(args.eps, report)])
+    text = "fires={} lhs={} rhs={} x0={}".format(
+        _json_value(report.holds),
+        fmt_float(report.lhs),
+        fmt_float(report.rhs),
+        report.details["x0"],
+    )
+    out.write(_render(args.fmt, body, [text], csv))
     return 0
 
 
@@ -473,11 +447,8 @@ def _cmd_demo_degenerate(args, out) -> int:
         "gram_dist": rep.gram_dist,
         "commutator_norm": rep.commutator_norm,
     }
-    if args.fmt == "json":
-        out.write(_json_value(fields) + "\n")
-    else:
-        for key, val in fields.items():
-            out.write(f"{key}={fmt_float(val)}\n")
+    text = [f"{key}={fmt_float(val)}" for key, val in fields.items()]
+    out.write(_render(args.fmt, fields, text))
     return 0
 
 

@@ -216,9 +216,24 @@ def _jacobi_kernel(a, v, off_tol, max_sweeps):
     return converged, sweeps
 
 
+def _as_real(a) -> np.ndarray:
+    # a as a float64 array, uncopied when it is one. Complex entries, and
+    # entries numpy cannot read as floats (ragged rows, text, objects), are
+    # NonFinite: casting complex to float would drop the imaginary part.
+    if type(a) is np.ndarray and a.dtype == np.float64:
+        return a
+    try:
+        raw = np.asarray(a)
+        if raw.dtype.kind != "c":
+            return raw.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NonFinite(f"entries are not real numbers: {exc}") from exc
+    raise NonFinite("entries are complex")
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite float64 2-D array; raise NonFinite otherwise."""
-    m = np.asarray(a, dtype=np.float64)
+    m = _as_real(a)
     if m.ndim != 2:
         raise NotSquare(f"expected a 2-D array, got ndim={m.ndim}")
     if not np.isfinite(m).all():

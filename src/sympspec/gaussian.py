@@ -19,11 +19,12 @@ from .densemat import (
     as_matrix,
     condition_number,
     norm,
+    _as_real,
     _require_square,
     _require_symmetric,
     _reuses_solves,
 )
-from .errors import BadIndices, InvalidCovariance, NotInterior
+from .errors import BadIndices, InvalidCovariance, NonFinite, NotInterior
 from .perturb import BoundReport, _symmetric_pair
 from .symplectic import symplectic_spectrum
 
@@ -53,9 +54,11 @@ class GaussianState:
         c = _require_symmetric(_require_square(as_matrix(cov)))
         n = c.shape[0] // 2
         check = validate_covariance(c)
-        m = np.zeros(2 * n) if mean is None else np.asarray(mean, dtype=np.float64)
+        m = np.zeros(2 * n) if mean is None else _as_real(mean)
         if m.shape != (2 * n,):
             raise BadIndices(f"mean must have length {2 * n}, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise NonFinite("mean contains NaN or Inf entries")
         return cls(cov=c, mean=m, n_modes=n, valid=check.valid, min_d=check.min_d)
 
 

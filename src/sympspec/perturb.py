@@ -10,6 +10,7 @@ spectrum moves more than a fixed multiple of the perturbation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,14 +236,18 @@ def counterexample_scaling(x: float, epsilon: float, c: float) -> BoundReport:
 
 
 def _counterexample_x0(epsilon: float, c: float) -> int | None:
-    # Smallest integer x >= 1 meeting the firing inequality
-    # 2 sqrt(29 x) c eps <= 29 eps^2 (1 + c^2) + 2 eps (x - 1), or None past
-    # COUNTEREXAMPLE_SCAN_CAP. In s = sqrt(x) it reads f(s) >= 0 with
-    # f(s) = s^2 - sqrt(29) c s + 29 eps (1 + c^2) / 2 - 1. When x = 1 does
-    # not fire, 1 lies between the roots of f, so x0 is the first integer
-    # past the larger root s+; the float inequality itself decides, walking
-    # up from just below s+^2.
+    # Smallest integer x >= 1 meeting the firing inequality, or None past
+    # COUNTEREXAMPLE_SCAN_CAP. The inequality sqrt(x) - c eps sqrt(29) >
+    # sqrt(shifted) squares to 2 sqrt(29 x) c eps <= 29 eps^2 (1 + c^2) +
+    # 2 eps (x - 1) only where sqrt(x) > c eps sqrt(29). In s = sqrt(x) the
+    # square reads f(s) >= 0 with f(s) = s^2 - sqrt(29) c s + 29 eps (1 + c^2)
+    # / 2 - 1. When x = 1 does not fire, 1 lies between the roots of f or
+    # below c eps sqrt(29), which for eps < 1/10 lies below the larger root
+    # s+; so x0 is the first integer past s+, and the float inequality
+    # itself decides, walking up from just below s+^2.
     def fires(x: float) -> bool:
+        if not math.sqrt(x) > math.sqrt(29.0) * c * epsilon:
+            return False
         left = 2.0 * math.sqrt(29.0 * x) * c * epsilon
         return left <= 29.0 * epsilon * epsilon * (1.0 + c * c) + 2.0 * epsilon * (x - 1.0)
 
@@ -580,9 +585,9 @@ def check_projection_bound(a, b, s1_range, s2_range) -> BoundReport:
 
 def _validate_range(idx_range, n: int, name: str) -> slice:
     try:
-        start, stop = int(idx_range[0]), int(idx_range[1])
-    except (TypeError, ValueError, IndexError) as exc:
-        raise BadIndices(f"{name} must be an index pair (start, stop)") from exc
+        start, stop = operator.index(idx_range[0]), operator.index(idx_range[1])
+    except (TypeError, IndexError) as exc:
+        raise BadIndices(f"{name} must be an integer pair (start, stop): {exc}") from exc
     if not (0 <= start < stop <= n):
         raise BadIndices(f"{name}=({start}, {stop}) is not a valid range for n={n}")
     return slice(start, stop)
@@ -606,9 +611,10 @@ SWEEPABLE = {
 def sweep(m, e, eps_grid, bound: str, kind: NormKind = NormKind.OPERATOR) -> SweepReport:
     """Evaluate one named bound over a strictly increasing epsilon grid.
 
-    Per-point failures are recorded, not fatal. The report includes the
-    least-squares slope of log(lhs) against log(eps) over the points whose
-    lhs is above the numerical floor.
+    Per-point failures are recorded, not fatal; each bound decides its own
+    epsilon domain. The report includes the least-squares slope of log(lhs)
+    against log(eps) over the points with eps > 0 whose lhs is above the
+    numerical floor.
     """
     if bound not in SWEEPABLE:
         raise OutOfValidityRange(
@@ -633,7 +639,11 @@ def sweep(m, e, eps_grid, bound: str, kind: NormKind = NormKind.OPERATOR) -> Swe
             points.append((eps, fn(mat, pert, eps, kind)))
         except SympspecError as exc:  # recorded, not fatal; anything else is a bug
             failures.append((eps, f"{type(exc).__name__}: {exc}"))
-    fit = [(math.log(eps), math.log(r.lhs)) for eps, r in points if r.lhs > SLOPE_FLOOR]
+    fit = [
+        (math.log(eps), math.log(r.lhs))
+        for eps, r in points
+        if eps > 0.0 and r.lhs > SLOPE_FLOOR
+    ]
     slope = None
     if len(fit) >= 2:
         xs = np.array([p[0] for p in fit])

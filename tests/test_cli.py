@@ -188,6 +188,13 @@ class TestCommands:
         assert text == ""
         assert message in capsys.readouterr().err
 
+    def test_counterexample_x0_when_c_eps_sqrt29_passes_one(self):
+        # the squared firing inequality alone would already hold at x = 1
+        code, text = _run_text(["counterexample", "--x", "1", "--eps", "0.05", "--c", "100"])
+        assert code == 0
+        assert text.startswith("fires=false ")
+        assert text.endswith(" x0=275310\n")
+
     def test_counterexample_json(self):
         code, text = _run_text(
             ["--format", "json", "counterexample", "--x", "33", "--eps", "0.05", "--c", "1"]
@@ -443,6 +450,17 @@ class TestBoundParity:
         assert code == 1
         assert text == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("name", ["spectrum", "bhatia-jain", "sqrt", "inv"])
+    def test_sweep_negative_epsilon(self, name, files):
+        # the negative point is printed and left out of the slope fit
+        m, e = files["m"], files["e"]
+        argv = ["sweep", name, "-m", m[0], "-e", e[0], "--eps=-1e-3,1e-4,1e-3"]
+        code, text = _run_text(argv)
+        report = sweep(m[1], e[1], [-1e-3, 1e-4, 1e-3], SWEEP_CALLS[name])
+        assert code == 0
+        assert text.count("label=") == 3
+        assert text == emit_report(list(report.grid), "text", slope=report.slope)
 
     @pytest.mark.parametrize("name", ["woodbury", "kappa-growth"])
     def test_sweep_records_zero_epsilon(self, name, files, capsys):

@@ -10,6 +10,7 @@ from sympspec.densemat import (
     JACOBI_MAX_SWEEPS,
     JACOBI_OFF_TOL,
     NormKind,
+    as_matrix,
     condition_number,
     identity_norm,
     norm,
@@ -90,6 +91,37 @@ class TestSymEig:
             sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(NonFinite):
             sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[1.0, 1j], [-1j, 1.0]],
+            np.eye(2, dtype=complex),
+            np.array([[1j, 0], [0, 1]], dtype=object),
+            [[1.0, 2.0], [3.0]],
+            [["a", "b"], ["c", "d"]],
+        ],
+        ids=["complex-list", "complex-array", "complex-object", "ragged", "text"],
+    )
+    def test_non_real_input_is_non_finite(self, a):
+        for fn in (as_matrix, sym_eig, singular_values, psd_sqrt):
+            with pytest.raises(NonFinite):
+                fn(a)
+
+    def test_hermitian_is_not_solved_as_its_real_part(self):
+        # the real part of [[1, i], [-i, 1]] is I, with eigenvalues [1, 1], not [0, 2]
+        with pytest.raises(NonFinite, match="complex"):
+            sym_eig([[1, 1j], [-1j, 1]])
+
+    def test_real_input_keeps_its_bits(self):
+        a = np.eye(3)
+        assert as_matrix(a) is a
+        for real in ([[1, 2], [3, 4]], np.array([[0.1, 2.0]], dtype=np.float32)):
+            got = as_matrix(real)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, np.asarray(real, dtype=np.float64))
 
 
 class TestExtremeScales:

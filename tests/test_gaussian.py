@@ -9,6 +9,7 @@ from conftest import random_symplectic, williamson_form
 from sympspec.errors import (
     BadIndices,
     InvalidCovariance,
+    NonFinite,
     NotInterior,
     NotPositiveDefinite,
     OddDimension,
@@ -236,3 +237,12 @@ class TestGaussianState:
     def test_mean_shape_checked(self):
         with pytest.raises(BadIndices):
             GaussianState.create(np.eye(4), mean=[0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "mean",
+        [[math.nan, 0, 0, 0], [0, math.inf, 0, 0], [1j, 0, 0, 0], ["a", "b", "c", "d"]],
+        ids=["nan", "inf", "complex", "text"],
+    )
+    def test_mean_must_be_finite_and_real(self, mean):
+        with pytest.raises(NonFinite):
+            GaussianState.create(np.eye(4), mean=mean)

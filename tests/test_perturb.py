@@ -8,6 +8,7 @@ import pytest
 from conftest import random_spd, random_spd_generic, random_symmetric_unit
 from sympspec.densemat import NormKind, norm
 from sympspec.errors import (
+    BadIndices,
     DegenerateSpectrum,
     DimensionMismatch,
     NonFinite,
@@ -142,10 +143,19 @@ class TestCounterexampleScaling:
             eps, c = float(eps), float(c)
             left = 2.0 * np.sqrt(29.0 * xs) * c * eps
             right = 29.0 * eps * eps * (1.0 + c * c) + 2.0 * eps * (xs - 1.0)
-            expected = int(xs[np.nonzero(left <= right)[0][0]])
+            # squaring keeps the inequality only where sqrt(x) > c eps sqrt(29)
+            fires = (left <= right) & (np.sqrt(xs) > np.sqrt(29.0) * c * eps)
+            expected = int(xs[np.nonzero(fires)[0][0]])
             assert counterexample_scaling(50.0, eps, c).details["x0"] == expected
             found.append(expected)
         assert found[0] == 1 and found[2] > 200_000
+
+    def test_x0_is_first_integer_that_fires(self):
+        # c eps sqrt(29) = 26.9 > 1: the squared inequality alone holds at x = 1
+        x0 = counterexample_scaling(1.0, 0.05, 100.0).details["x0"]
+        assert x0 == 275310
+        assert counterexample_scaling(float(x0), 0.05, 100.0).holds
+        assert not counterexample_scaling(float(x0 - 1), 0.05, 100.0).holds
 
     def test_x0_beyond_scan_cap_is_none(self):
         assert counterexample_scaling(50.0, 1e-4, 1000.0).details["x0"] is None
@@ -474,6 +484,18 @@ class TestProjectionBound:
             r = check_projection_bound(a, b, (0, 2), (2, 4))
             assert r.holds
 
+    @pytest.mark.parametrize("s1", [(0, 1.5), ("0", "2"), (math.inf, 2), (0.0, 2.0)])
+    def test_index_range_must_be_integers(self, s1):
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(BadIndices, match="integer pair"):
+            check_projection_bound(a, a + 0.01 * np.eye(4), s1, (2, 4))
+
+    def test_numpy_integer_range(self):
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
+        b = a + 0.01 * np.eye(4)
+        got = check_projection_bound(a, b, (np.int64(0), np.int64(2)), (2, 4))
+        assert got == check_projection_bound(a, b, (0, 2), (2, 4))
+
     def test_zero_gap(self):
         a = np.diag([1.0, 2.0])
         with pytest.raises(ZeroGap):
@@ -509,6 +531,18 @@ class TestSweep:
         assert rep.errors == (
             (0.0, "OutOfValidityRange: epsilon must be positive, got 0.0"),
         )
+
+    @pytest.mark.parametrize("name", sorted(SWEEPABLE))
+    def test_negative_epsilon_is_left_out_of_the_fit(self, name):
+        # each bound decides its own epsilon domain; the fit takes eps > 0 only
+        rng = np.random.default_rng(87)
+        m = random_spd(rng, 4, 10.0)
+        e = random_symmetric_unit(rng, 4)
+        rep = sweep(m, e, [-1e-3, 1e-4, 1e-3], name)
+        assert sorted([eps for eps, _ in rep.grid] + [eps for eps, _ in rep.errors]) == [
+            -1e-3, 1e-4, 1e-3
+        ]
+        assert rep.slope == sweep(m, e, [1e-4, 1e-3], name).slope
 
     def test_non_library_error_propagates(self, monkeypatch):
         # only SympspecError is a recorded per-point failure; anything else is a bug

@@ -1,5 +1,6 @@
 """Symplectic form, spectra, Williamson factorizations, gauge alignment."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from sympspec.errors import (
     NonFinite,
     NotPositiveDefinite,
     OddDimension,
+    PairingFailure,
     ZeroModes,
 )
 from sympspec.symplectic import (
@@ -237,6 +239,10 @@ class TestWilliamson:
         np.testing.assert_allclose(fac.d, [2.0, 2.0], rtol=1e-10)
         assert fac.residual_symp <= 1e-8
 
+    def test_too_few_seeds_is_a_pairing_failure(self):
+        with pytest.raises(PairingFailure, match="extracted 1 modes, expected 2"):
+            williamson(np.eye(4), _seed_order=[0])
+
     def test_errors(self):
         with pytest.raises(NotPositiveDefinite):
             williamson(np.diag([1.0, -1.0]))
@@ -281,6 +287,13 @@ class TestGaugeAlign:
         assert ga.angles[0] == pytest.approx(-theta, abs=1e-10)
         assert abs(ga.angles[1]) <= 1e-10
         assert ga.distance <= 1e-10
+
+    def test_broken_reconstruction_is_a_pairing_failure(self):
+        # 1.5 S is not symplectic, so the M rebuilt from it is not diagonalized
+        fac = williamson(random_spd(np.random.default_rng(64), 4, 10.0))
+        other = dataclasses.replace(fac, S=1.5 * fac.S)
+        with pytest.raises(PairingFailure, match="alignment broke the factorization"):
+            gauge_align(fac, other)
 
     def test_degenerate_reference_refused(self):
         fac = williamson(np.eye(4))

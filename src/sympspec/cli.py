@@ -23,18 +23,9 @@ from .errors import (
 )
 from .gaussian import entanglement_entropy, entropy_difference_bound
 from .perturb import (
+    SWEEPABLE,
     BoundReport,
-    PerturbationCase,
-    bound_S,
-    bound_bhatia_jain,
-    bound_gram,
-    bound_spectrum,
-    check_eigvec_bound,
-    check_inv_lemma,
-    check_kappa_growth,
     check_projection_bound,
-    check_sqrt_lemma,
-    check_woodbury_norm,
     counterexample_scaling,
     degenerate_demo,
     sweep,
@@ -49,58 +40,29 @@ _NORM_BY_FLAG = {
 
 # Reports whose ``holds`` flag is informational rather than a theorem claim;
 # these never trigger the exit-2 "library bug" signal.
-_NON_BINDING_LABELS = {"counterexample_scaling", "entropy_difference"}
+_NON_BINDING_LABELS = {"entropy_difference"}
 
 _UNSET = object()
 
-# Every bound the CLI offers: its perturb.SWEEPABLE name (None when only
-# `check` runs it), the flags `check` needs after -m in the order they are
-# required, and the checker, called with M, those flags' values and the norm.
+# Every bound the CLI offers -> (how, flags). `how` is the bound's
+# perturb.SWEEPABLE name or, for a bound only `check` runs, its checker, called
+# with M and the flags' values. `flags` are what `check` needs after -m, in the
+# order they are required.
 _BOUNDS = {
-    "spectrum": (
-        "spectrum", ("-p",),
-        lambda m, p, kind: bound_spectrum(m, p, kind),
-    ),
-    "bhatia-jain": (
-        "bhatia_jain", ("-p",),
-        lambda m, p, kind: bound_bhatia_jain(m, p),
-    ),
-    "s-stability": (
-        "s_stability", ("--eps", "-e"),
-        lambda m, eps, e, kind: bound_S(PerturbationCase(m, e, eps)),
-    ),
-    "gram": (
-        "gram", ("--eps", "-e"),
-        lambda m, eps, e, kind: bound_gram(PerturbationCase(m, e, eps)),
-    ),
-    "sqrt": (
-        "sqrt_lemma", ("-p",),
-        lambda m, p, kind: check_sqrt_lemma(m, p, kind),
-    ),
-    "inv": (
-        "inv_lemma", ("-p",),
-        lambda m, p, kind: check_inv_lemma(m, p, kind),
-    ),
-    "woodbury": (
-        "woodbury", ("--eps", "-e"),
-        lambda m, eps, e, kind: check_woodbury_norm(m, e, eps),
-    ),
-    "kappa-growth": (
-        "kappa_growth", ("--eps", "-e"),
-        lambda m, eps, e, kind: check_kappa_growth(m, e, eps),
-    ),
-    "eigvec": (
-        "eigvec", ("-p", "--eps"),
-        lambda m, p, eps, kind: check_eigvec_bound(m, p, eps),
-    ),
+    "spectrum": ("spectrum", ("-p",)),
+    "bhatia-jain": ("bhatia_jain", ("-p",)),
+    "s-stability": ("s_stability", ("--eps", "-e")),
+    "gram": ("gram", ("--eps", "-e")),
+    "sqrt": ("sqrt_lemma", ("-p",)),
+    "inv": ("inv_lemma", ("-p",)),
+    "woodbury": ("woodbury", ("--eps", "-e")),
+    "kappa-growth": ("kappa_growth", ("--eps", "-e")),
+    "eigvec": ("eigvec", ("-p", "--eps")),
     "projection": (
-        None, ("-p", "--s1", "--s2"),
-        lambda m, p, s1, s2, kind: check_projection_bound(m, p, s1, s2),
+        lambda m, p, s1, s2: check_projection_bound(m, p, s1, s2),
+        ("-p", "--s1", "--s2"),
     ),
-    "entropy-diff": (
-        None, ("-p",),
-        lambda m, p, kind: entropy_difference_bound(m, p),
-    ),
+    "entropy-diff": (lambda m, p: entropy_difference_bound(m, p), ("-p",)),
 }
 
 
@@ -109,7 +71,7 @@ def load_matrix(path) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_matrix(text)
 
@@ -251,10 +213,21 @@ class _Parser(argparse.ArgumentParser):
         raise UnknownCommand(message)
 
 
+def _seed(text: str) -> int:
+    # numpy's default_rng takes non-negative seeds only
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="sympspec", description=__doc__, add_help=True)
     p.add_argument("--norm", choices=sorted(_NORM_BY_FLAG), default="op")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", dest="fmt", choices=["text", "csv", "json"], default="text")
     p.add_argument("--bits", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
@@ -275,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--s2")
 
     sw = sub.add_parser("sweep", help="evaluate one bound across an epsilon grid")
-    sw.add_argument("bound", choices=[name for name, row in _BOUNDS.items() if row[0]])
+    sweepable = [name for name, (how, _) in _BOUNDS.items() if how in SWEEPABLE]
+    sw.add_argument("bound", choices=sweepable)
     sw.add_argument("-m", "--matrix", required=True)
     sw.add_argument("-e", "--perturbation")
     sw.add_argument("--eps", required=True, help="a:b:k geometric grid or comma list")
@@ -378,10 +352,16 @@ def _violates(report: BoundReport) -> bool:
 
 
 def _cmd_check(args, out) -> int:
-    _, flags, checker = _BOUNDS[args.bound]
+    how, flags = _BOUNDS[args.bound]
     m = load_matrix(args.matrix)
-    values = [_check_flag(args, flag) for flag in flags]
-    report = checker(m, *values, _NORM_BY_FLAG[args.norm])
+    values = {flag: _check_flag(args, flag) for flag in flags}
+    if how in SWEEPABLE:
+        moves, call = SWEEPABLE[how]
+        # eigvec takes its direction as -p; every other bound that moves M takes -e
+        second = values.get("-e", values.get("-p"))
+        report = call(m, second, values["--eps"] if moves else _NORM_BY_FLAG[args.norm])
+    else:
+        report = how(m, *values.values())
     eps = args.eps if "--eps" in flags else None
     out.write(emit_report([(eps, report)], args.fmt))
     return 2 if _violates(report) else 0
@@ -432,7 +412,7 @@ def _cmd_counterexample(args, out) -> int:
         _json_value(report.holds),
         fmt_float(report.lhs),
         fmt_float(report.rhs),
-        report.details["x0"],
+        _json_value(report.details["x0"]),
     )
     out.write(_render(args.fmt, body, [text], csv))
     return 0

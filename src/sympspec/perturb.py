@@ -593,17 +593,21 @@ def _validate_range(idx_range, n: int, name: str) -> slice:
     return slice(start, stop)
 
 
-# Bounds a sweep can drive: name -> callable(m, e_unit, epsilon, kind).
+# Bounds a sweep can drive: name -> (moves, call). A bound that moves M
+# (moves=True) is called as call(m, e, eps) with the direction E; the others
+# compare M with a second matrix and are called as call(m, mp, kind), which
+# sweep forms as mp = M + eps E. Each call looks its checker up as a module
+# global when it runs, so a checker rebound on this module is the one called.
 SWEEPABLE = {
-    "spectrum": lambda m, e, eps, kind: bound_spectrum(m, m + eps * e, kind),
-    "bhatia_jain": lambda m, e, eps, kind: bound_bhatia_jain(m, m + eps * e),
-    "s_stability": lambda m, e, eps, kind: bound_S(PerturbationCase(m, e, eps)),
-    "gram": lambda m, e, eps, kind: bound_gram(PerturbationCase(m, e, eps)),
-    "sqrt_lemma": lambda m, e, eps, kind: check_sqrt_lemma(m, m + eps * e, kind),
-    "inv_lemma": lambda m, e, eps, kind: check_inv_lemma(m, m + eps * e, kind),
-    "woodbury": lambda m, e, eps, kind: check_woodbury_norm(m, e, eps),
-    "kappa_growth": lambda m, e, eps, kind: check_kappa_growth(m, e, eps),
-    "eigvec": lambda m, e, eps, kind: check_eigvec_bound(m, e, eps),
+    "spectrum": (False, lambda m, mp, kind: bound_spectrum(m, mp, kind)),
+    "bhatia_jain": (False, lambda m, mp, kind: bound_bhatia_jain(m, mp)),
+    "s_stability": (True, lambda m, e, eps: bound_S(PerturbationCase(m, e, eps))),
+    "gram": (True, lambda m, e, eps: bound_gram(PerturbationCase(m, e, eps))),
+    "sqrt_lemma": (False, lambda m, mp, kind: check_sqrt_lemma(m, mp, kind)),
+    "inv_lemma": (False, lambda m, mp, kind: check_inv_lemma(m, mp, kind)),
+    "woodbury": (True, lambda m, e, eps: check_woodbury_norm(m, e, eps)),
+    "kappa_growth": (True, lambda m, e, eps: check_kappa_growth(m, e, eps)),
+    "eigvec": (True, lambda m, e, eps: check_eigvec_bound(m, e, eps)),
 }
 
 
@@ -631,12 +635,13 @@ def sweep(m, e, eps_grid, bound: str, kind: NormKind = NormKind.OPERATOR) -> Swe
         raise DimensionMismatch(f"shapes {mat.shape} and {pert.shape} differ")
     pert = _unit_direction(pert)
 
-    fn = SWEEPABLE[bound]
+    moves, call = SWEEPABLE[bound]
     points = []
     failures = []
     for eps in grid:
         try:
-            points.append((eps, fn(mat, pert, eps, kind)))
+            report = call(mat, pert, eps) if moves else call(mat, mat + eps * pert, kind)
+            points.append((eps, report))
         except SympspecError as exc:  # recorded, not fatal; anything else is a bug
             failures.append((eps, f"{type(exc).__name__}: {exc}"))
     fit = [

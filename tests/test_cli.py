@@ -161,6 +161,28 @@ class TestCommands:
         code, _ = _run_text(["spectrum", str(DATA / "missing.txt")])
         assert code == 1
 
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"\xff1 0\n0 1\n")
+        with pytest.raises(ParseError, match="bin.txt"):
+            load_matrix(path)
+        code, text = _run_text(["spectrum", str(path)])
+        assert code == 1
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "seed, message", [("-1", "must not be negative, got -1"), ("x", "invalid int value: 'x'")]
+    )
+    def test_bad_seed_is_input_error(self, seed, message, capsys):
+        argv = ["--seed", seed, "sweep", "gram", "-m", str(DATA / "spd4.txt")]
+        code, text = _run_text(argv + ["--eps", "1e-4,1e-3"])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == f"error: argument --seed: {message}\n"
+
     def test_unknown_command(self):
         code, _ = _run_text(["frobnicate"])
         assert code == 1
@@ -194,6 +216,16 @@ class TestCommands:
         assert code == 0
         assert text.startswith("fires=false ")
         assert text.endswith(" x0=275310\n")
+
+    def test_counterexample_x0_past_scan_cap_is_null(self):
+        argv = ["counterexample", "--x", "50", "--eps", "1e-4", "--c", "1000"]
+        code, text = _run_text(argv)
+        assert code == 0
+        assert text.endswith(" x0=null\n")
+        code, text = _run_text(["--format", "json"] + argv)
+        assert code == 0
+        assert '"x0": null' in text
+        assert json.loads(text)[0]["details"]["x0"] is None
 
     def test_counterexample_json(self):
         code, text = _run_text(

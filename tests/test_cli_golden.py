@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from sympspec.cli import _BOUNDS, run
+from sympspec.perturb import SWEEPABLE
 
 TESTS = Path(__file__).parent
 GOLDEN = TESTS / "golden" / "cli_calls.sha256"
@@ -60,8 +61,8 @@ def calls():
     for setup in SETUPS:
         for name in _BOUNDS:
             commands.append(_check_argv(name, setup))
-        for name, (sweepable, _, _) in _BOUNDS.items():
-            if sweepable:
+        for name, (how, _) in _BOUNDS.items():
+            if how in SWEEPABLE:
                 commands.append(
                     ["sweep", name, "-m", setup["-m"], "-e", setup["-e"],
                      "--eps", "1e-4:1e-2:3"]

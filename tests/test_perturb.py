@@ -546,12 +546,20 @@ class TestSweep:
 
     def test_non_library_error_propagates(self, monkeypatch):
         # only SympspecError is a recorded per-point failure; anything else is a bug
-        def broken(m, e, eps, kind):
+        def broken(m, mp, kind):
             raise TypeError("not a domain error")
 
-        monkeypatch.setitem(SWEEPABLE, "spectrum", broken)
-        with pytest.raises(TypeError):
+        monkeypatch.setitem(SWEEPABLE, "spectrum", (False, broken))
+        with pytest.raises(TypeError, match="not a domain error"):
             sweep(np.eye(2), np.eye(2), [1e-3], "spectrum")
+
+    def test_sweepable_names_and_order(self):
+        # the `checkers` benchmark picks its sweep bound by index into this
+        # tuple, so a renamed, added or reordered bound changes its workload
+        assert tuple(SWEEPABLE) == (
+            "spectrum", "bhatia_jain", "s_stability", "gram", "sqrt_lemma",
+            "inv_lemma", "woodbury", "kappa_growth", "eigvec",
+        )
 
     @pytest.mark.parametrize("name", sorted(SWEEPABLE))
     def test_rejects_shape_mismatch(self, name):

@@ -9,6 +9,7 @@ inputs and seed produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -419,14 +420,7 @@ def _cmd_counterexample(args, out) -> int:
 
 
 def _cmd_demo_degenerate(args, out) -> int:
-    rep = degenerate_demo(args.eps)
-    fields = {
-        "epsilon": rep.epsilon,
-        "s_dist_canonical": rep.s_dist_canonical,
-        "s_dist_aligned_over_gauge_family": rep.s_dist_aligned_over_gauge_family,
-        "gram_dist": rep.gram_dist,
-        "commutator_norm": rep.commutator_norm,
-    }
+    fields = dataclasses.asdict(degenerate_demo(args.eps))
     text = [f"{key}={fmt_float(val)}" for key, val in fields.items()]
     out.write(_render(args.fmt, fields, text))
     return 0

@@ -140,16 +140,19 @@ def _off_norm2_in_order(a, upper):
     return float(np.add.accumulate((2.0 * terms) * terms)[-1])
 
 
-def _jacobi_kernel(a, v, off_tol, max_sweeps):
+def _jacobi_kernel(a, off_tol, max_sweeps):
     # The loop kernel's rotations in the same cyclic order with the same
-    # elementwise IEEE operations, so a, v and the result are bit-identical.
+    # elementwise IEEE operations, run on the stack w = [a | I] with `a`
+    # left unwritten. Returns (w, converged, sweeps): w[:, :n] and
+    # w[:, n:].T are bit for bit the loop kernel's final a and v, started
+    # from v = I.
     # Precondition: `a` is exactly symmetric (sym_eig passes the mean of m
     # and m.T).
     # The loop kernel's column update then equals its row update outside
-    # rows p and q, so rotating rows p and q of the stacked array [a | v^T]
-    # updates a's rows and v's columns at once. The closed forms for (p, q),
-    # (p, p) and (q, q) are stored into the new rows, which are then copied
-    # into a's columns: the column-p copy sets (q, p) to the 0.0 at (p, q).
+    # rows p and q, so rotating rows p and q of [a | v^T] updates a's rows
+    # and v's columns at once. The closed forms for (p, q), (p, p) and
+    # (q, q) are stored into the new rows, which are then copied into a's
+    # columns: the column-p copy sets (q, p) to the 0.0 at (p, q).
     # Neither copy touches another row's diagonal entry, so only the closed
     # forms change the diagonal, and `dg` keeps it as Python floats too.
     # Rows rotate in place through views bound once per call: with the
@@ -159,7 +162,7 @@ def _jacobi_kernel(a, v, off_tol, max_sweeps):
     # Python floats; the products are the same float64 products.
     n = a.shape[0]
     skip = off_tol / (2.0 * n)
-    w = np.concatenate((a, v.T), axis=1)
+    w = np.concatenate((a, np.eye(n)), axis=1)
     wa = w[:, :n]
     rows = list(w)
     arows = list(wa)
@@ -211,9 +214,7 @@ def _jacobi_kernel(a, v, off_tol, max_sweeps):
     else:
         converged = bool(math.sqrt(_off_norm2_in_order(wa, upper)) <= off_tol)
         sweeps = max_sweeps
-    a[...] = wa
-    v[...] = w[:, n:].T
-    return converged, sweeps
+    return w, converged, sweeps
 
 
 def _as_real(a) -> np.ndarray:
@@ -295,20 +296,23 @@ def _reuses_solves(fn):
     return wrapper
 
 
-def _binary_exponent(m: np.ndarray, even: bool = False) -> int:
-    # 0 when the largest entry magnitude lies in [2^-256, 2^256] (or m is
-    # zero), where sums of squares neither overflow nor underflow; otherwise
-    # the power of two (even if asked) whose inverse brings it near 1.
-    # Scaling by a power of two is exact, and Jacobi commutes with it bit for bit.
+def _rescaled(m: np.ndarray, even: bool = False) -> tuple[np.ndarray, int]:
+    # (m / 2^e, e). e is 0, and m comes back uncopied, when the largest entry
+    # magnitude lies in [2^-256, 2^256] (or m is zero), where sums of squares
+    # neither overflow nor underflow; otherwise 2^e (e even if asked) brings
+    # it near 1. Scaling by a power of two is exact, and Jacobi commutes with
+    # it bit for bit.
     amax = float(np.abs(m).max()) if m.size else 0.0
     if amax == 0.0 or 2.0 ** -256 <= amax <= 2.0 ** 256:
-        return 0
+        return m, 0
     e = math.frexp(amax)[1]
-    return e + (e & 1) if even else e
+    if even:
+        e += e & 1
+    return np.ldexp(m, -e), e
 
 
 def _unscale(x, exp: int):
-    # np.ldexp(x, exp), undoing a _binary_exponent rescale; x itself when
+    # np.ldexp(x, exp), undoing a _rescaled rescale; x itself when
     # exp is 0. Only exp > 0 can push a result past the largest float; that
     # is caught before the ldexp, so it raises NonFinite instead of
     # returning inf with a RuntimeWarning.
@@ -343,20 +347,17 @@ def sym_eig(a) -> Spectrum:
         if hit is not None:
             memo.move_to_end(key)
             return Spectrum(eigenvalues=hit[0].copy(), eigenvectors=hit[1].copy())
-    # m is a fresh copy, so the kernel may work in it when no rescale is due.
-    exp = _binary_exponent(m)
-    work = np.ldexp(m, -exp) if exp else m
-    vecs = np.eye(n)
+    work, exp = _rescaled(m)
     off_tol = JACOBI_OFF_TOL * float(np.sqrt(np.sum(work * work)))
-    converged, _ = _jacobi_kernel(work, vecs, off_tol, JACOBI_MAX_SWEEPS)
+    w, converged, _ = _jacobi_kernel(work, off_tol, JACOBI_MAX_SWEEPS)
     if not converged:
         raise ConvergenceFailure(
             f"Jacobi did not converge within {JACOBI_MAX_SWEEPS} sweeps"
         )
-    diag = work.diagonal()
+    diag = w.diagonal()
     order = diag.argsort(kind="stable")
     vals = _unscale(diag.take(order), exp)
-    vecs = vecs.take(order, axis=1)
+    vecs = w[:, n:].T.take(order, axis=1)
     # Sign convention: argmax returns the first maximal index; negation is
     # exact.
     lead = np.abs(vecs).argmax(axis=0)
@@ -402,10 +403,7 @@ def spd_inverse(a) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix."""
     # Invert A / 2^k, whose largest entry is near 1, then scale back;
     # _unscale raises NonFinite where A^-1 passes the largest float.
-    m = _require_square(as_matrix(a))
-    exp = _binary_exponent(m)
-    if exp:
-        m = np.ldexp(m, -exp)
+    m, exp = _rescaled(_require_square(as_matrix(a)))
     spec = _spd_spectrum(m)
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     w = (vecs / vals) @ vecs.T
@@ -414,10 +412,7 @@ def spd_inverse(a) -> np.ndarray:
 
 def singular_values(a) -> np.ndarray:
     """Descending singular values: square roots of the eigenvalues of A^T A."""
-    m = _require_square(as_matrix(a))
-    exp = _binary_exponent(m)
-    if exp:
-        m = np.ldexp(m, -exp)
+    m, exp = _rescaled(_require_square(as_matrix(a)))
     gram = m.T @ m
     vals = sym_eig((gram + gram.T) / 2.0).eigenvalues
     return _unscale(np.sqrt(vals[::-1].clip(0.0)), exp)
@@ -433,9 +428,7 @@ def norm(a, kind: NormKind = NormKind.OPERATOR) -> float:
         raise ValueError(f"unknown norm kind: {kind!r}")
     # Sum at the scale where no square and no sum overflows, then unscale
     # once; the scaled matrix's singular values need no rescale of their own.
-    exp = _binary_exponent(m)
-    if exp:
-        m = np.ldexp(m, -exp)
+    m, exp = _rescaled(m)
     if kind is NormKind.FROBENIUS:
         total = np.sqrt((m * m).sum())
     else:

@@ -215,9 +215,8 @@ def counterexample_scaling(x: float, epsilon: float, c: float) -> BoundReport:
     _require_finite("x", x)
     _require_finite("c", c)
     d0 = math.sqrt(x)
+    # shifted >= 1 - 29 eps^2 > 0.7 for x >= 1 and eps < 1/10.
     shifted = x - 2.0 * epsilon * (x - 1.0) - 29.0 * epsilon * epsilon
-    if shifted <= 0.0:
-        raise OutOfValidityRange("perturbed spectrum collapsed; x too small")
     de = math.sqrt(shifted)
     lhs = c * epsilon * math.sqrt(29.0)
     rhs = abs(d0 - de)
@@ -244,7 +243,12 @@ def _counterexample_x0(epsilon: float, c: float) -> int | None:
     # / 2 - 1. When x = 1 does not fire, 1 lies between the roots of f or
     # below c eps sqrt(29), which for eps < 1/10 lies below the larger root
     # s+; so x0 is the first integer past s+, and the float inequality
-    # itself decides, walking up from just below s+^2.
+    # itself decides, walking up from just below s+^2. As s+ >= sqrt(29) c/2,
+    # sqrt(29) c > 2 sqrt(cap) puts x0 past the cap without a search; such a
+    # c (above 1174) cannot fire at x = 1, and its c * c may overflow.
+    if math.sqrt(29.0) * c > 2.0 * math.sqrt(COUNTEREXAMPLE_SCAN_CAP):
+        return None
+
     def fires(x: float) -> bool:
         if not math.sqrt(x) > math.sqrt(29.0) * c * epsilon:
             return False
@@ -490,8 +494,7 @@ def check_kappa_growth(m, e, epsilon: float) -> BoundReport:
         raise PreconditionViolated(
             f"||M^-1|| = {1.0 / lam_min:.6e} exceeds 1/(2 eps)"
         )
-    if not epsilon < lam_max:
-        raise PreconditionViolated(f"eps = {epsilon} is not below ||M|| = {lam_max}")
+    # eps < ||M|| follows: the gate above leaves eps <= lam_min / 2 < lam_max.
     lhs = condition_number(mat + epsilon * pert)
     rhs = 4.0 * lam_max / lam_min
     return BoundReport.from_sides(lhs, rhs, NormKind.OPERATOR, True, "kappa_growth")

@@ -21,9 +21,9 @@ from .densemat import (
     psd_sqrt,
     singular_values,
     sym_eig,
-    _binary_exponent,
     _require_square,
     _require_symmetric,
+    _rescaled,
     _reuses_solves,
     _spd_spectrum,
     _unscale,
@@ -91,9 +91,7 @@ def _scaled_even(m) -> tuple[np.ndarray, int, int]:
     # exactly, since M^{1/2} scales by 2^-j.
     mat = _require_symmetric(_require_square(as_matrix(m)))
     n = _even_dim(mat)
-    exp = _binary_exponent(mat, even=True)
-    if exp:
-        mat = np.ldexp(mat, -exp)
+    mat, exp = _rescaled(mat, even=True)
     return mat, n, exp
 
 

@@ -75,6 +75,20 @@ class TestParseMatrix:
         with pytest.raises(ParseError):
             parse_matrix("\n\n")
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("1 0\n# 2 2\n0 1\n", "unexpected comment line", 2),
+            ("# 2 2\n# 2 2\n1 0\n0 1\n", "unexpected comment line", 2),
+            ("# 2\n1 0\n0 1\n", "header must be '# rows cols'", 1),
+            ("# 2 x\n1 0\n0 1\n", "header must be '# rows cols'", 1),
+        ],
+    )
+    def test_comment_and_header_errors(self, text, message, line):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_matrix(text)
+        assert err.value.line == line
+
     def test_round_trip_exact(self):
         rng = np.random.default_rng(100)
         m = rng.standard_normal((4, 4)) * 10.0 ** rng.integers(-8, 8)
@@ -226,6 +240,17 @@ class TestCommands:
         assert code == 0
         assert '"x0": null' in text
         assert json.loads(text)[0]["details"]["x0"] is None
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_counterexample_huge_c_is_null(self, fmt):
+        # c * c overflows past c = 1.3e154; x0 lies past the scan cap anyway
+        argv = ["--format", fmt, "counterexample", "--x", "33", "--eps", "0.05", "--c", "1e300"]
+        code, text = _run_text(argv)
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(text)[0]["details"]["x0"] is None
+        else:
+            assert text.endswith(" x0=null\n")
 
     def test_counterexample_json(self):
         code, text = _run_text(
@@ -482,6 +507,22 @@ class TestBoundParity:
         assert code == 1
         assert text == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("eps", ["1e-4:1e-3", "1e-4:1e-3:x", "1e-4,oops"])
+    def test_sweep_bad_grid(self, eps, files, capsys):
+        argv = ["sweep", "spectrum", "-m", files["m"][0], "-e", files["e"][0]]
+        code, text = _run_text(argv + ["--eps", eps])
+        assert code == 1
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_check_bad_index_range(self, files, capsys):
+        argv = ["check", "projection", "-m", files["m"][0], "-p", files["p"][0]]
+        code, text = _run_text(argv + ["--s1", "0:2:1", "--s2", "2:4"])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == "error: --s1 must be start:stop\n"
 
     @pytest.mark.parametrize("name", ["spectrum", "bhatia-jain", "sqrt", "inv"])
     def test_sweep_negative_epsilon(self, name, files):

@@ -87,6 +87,8 @@ class TestSymEig:
     def test_errors(self):
         with pytest.raises(NotSquare):
             sym_eig(np.zeros((2, 3)))
+        with pytest.raises(NotSquare, match="ndim=1"):
+            sym_eig(np.ones(3))
         with pytest.raises(NotSymmetric):
             sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(NonFinite):
@@ -378,10 +380,13 @@ def test_jacobi_kernel_matches_loop_bitwise():
         a_ref, v_ref = a.copy(), np.eye(dim)
         ref = _jacobi_kernel_loop(a_ref, v_ref, tol, max_sweeps)
         unconverged += not ref[0]
-        a_out, v_out = a.copy(), np.eye(dim)
-        assert _jacobi_kernel(a_out, v_out, tol, max_sweeps) == ref
-        assert np.array_equal(a_out, a_ref)
-        assert np.array_equal(v_out, v_ref)
+        a_in = a.copy()
+        w, *result = _jacobi_kernel(a_in, tol, max_sweeps)
+        assert tuple(result) == ref
+        assert w[:, :dim].tobytes() == a_ref.tobytes()
+        assert w[:, dim:].T.tobytes() == v_ref.tobytes()
+        # the kernel works in its own stack, never in its input
+        assert a_in.tobytes() == a.tobytes()
     assert unconverged == 2
 
 
@@ -434,22 +439,32 @@ def _reference_symmetrize(a):
     return _midpoint(m, m.T, scale)
 
 
+def _reference_exponent(m):
+    # The rescale rule restated: 0 inside [2^-256, 2^256] or for a zero m,
+    # else the binary exponent of the largest entry magnitude.
+    amax = float(np.max(np.abs(m))) if m.size else 0.0
+    if amax == 0.0 or 2.0 ** -256 <= amax <= 2.0 ** 256:
+        return 0
+    return int(np.frexp(amax)[1])
+
+
 def _reference_sym_eig(a):
     # sym_eig as it was before its bitwise-symmetric fast path: the midpoint
     # on every input, an ldexp rescale and a contiguous copy at every
     # exponent, and a sign fix column by column.
-    from sympspec.densemat import _binary_exponent, _jacobi_kernel
+    from sympspec.densemat import _jacobi_kernel
 
     m = _reference_symmetrize(a)
     n = m.shape[0]
     if n == 0:
         return np.zeros(0), np.zeros((0, 0))
-    exp = _binary_exponent(m)
+    exp = _reference_exponent(m)
     work = np.ascontiguousarray(np.ldexp(m, -exp))
-    vecs = np.eye(n)
     off_tol = JACOBI_OFF_TOL * float(np.sqrt(np.sum(work * work)))
-    assert _jacobi_kernel(work, vecs, off_tol, JACOBI_MAX_SWEEPS)[0]
-    vals = np.diag(work).copy()
+    w, converged, _ = _jacobi_kernel(work, off_tol, JACOBI_MAX_SWEEPS)
+    assert converged
+    vals = np.diag(w[:, :n]).copy()
+    vecs = w[:, n:].T.copy()
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
@@ -461,10 +476,8 @@ def _reference_sym_eig(a):
 
 
 def _reference_singular_values(a):
-    from sympspec.densemat import _binary_exponent
-
     m = np.asarray(a, dtype=np.float64)
-    exp = _binary_exponent(m)
+    exp = _reference_exponent(m)
     m = np.ldexp(m, -exp)
     gram = m.T @ m
     vals = _reference_sym_eig((gram + gram.T) / 2.0)[0]
@@ -472,11 +485,9 @@ def _reference_singular_values(a):
 
 
 def _reference_norm(a, kind):
-    from sympspec.densemat import _binary_exponent
-
     m = np.asarray(a, dtype=np.float64)
     if kind is NormKind.FROBENIUS:
-        exp = _binary_exponent(m)
+        exp = _reference_exponent(m)
         m = np.ldexp(m, -exp)
         return float(np.ldexp(np.sqrt(np.sum(m * m)), exp))
     s = _reference_singular_values(m)
@@ -513,6 +524,31 @@ def _parity_cases():
 
 def _hex(x):
     return np.asarray(x, dtype=np.float64).tobytes().hex()
+
+
+def test_symmetrization_halves_only_the_entries_whose_sum_overflows():
+    # Entries at 2^1023 and above are halved before they are added, which is
+    # exact; every other entry keeps the bits of the plain (a + b) / 2, which
+    # differ from a / 2 + b / 2 for the smallest subnormal (5e-324 vs 0.0).
+    # reduced_state over every mode returns the symmetrized matrix itself.
+    from sympspec.gaussian import reduced_state
+
+    big = 1.5 * 2.0 ** 1023
+    big_up = float(np.nextafter(big, np.inf))
+    tiny = 5e-324
+    m = np.array(
+        [
+            [1.0, big, 0.0, 0.0],
+            [big_up, 2.0, 0.0, 0.0],
+            [0.0, 0.0, 3.0, tiny],
+            [0.0, 0.0, tiny, 4.0],
+        ]
+    )
+    got = reduced_state(m, [0, 1])
+    assert got.tobytes() == got.T.tobytes()
+    assert got[0, 1].hex() == (big / 2.0 + big_up / 2.0).hex()
+    assert got[2, 3] == tiny
+    assert got.diagonal().tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_call_path_matches_reference_bitwise():

@@ -87,6 +87,8 @@ class TestReducedState:
         )
 
     def test_bad_indices(self):
+        with pytest.raises(BadIndices, match="dimension 3 is odd"):
+            reduced_state(np.eye(3), [0])
         with pytest.raises(BadIndices):
             reduced_state(np.eye(4), [2])
         with pytest.raises(BadIndices):

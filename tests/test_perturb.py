@@ -55,6 +55,10 @@ class TestPerturbationCase:
         with pytest.raises(OutOfValidityRange):
             PerturbationCase(np.eye(2), np.eye(2), 0.0)
 
+    def test_rejects_zero_direction(self):
+        with pytest.raises(OutOfValidityRange, match="E must be nonzero"):
+            PerturbationCase(np.eye(2), np.zeros((2, 2)), 0.1)
+
 
 # Every epsilon gate, with inputs that pass it at a finite epsilon.
 EPSILON_GATES = {
@@ -159,6 +163,11 @@ class TestCounterexampleScaling:
 
     def test_x0_beyond_scan_cap_is_none(self):
         assert counterexample_scaling(50.0, 1e-4, 1000.0).details["x0"] is None
+
+    @pytest.mark.parametrize("eps, c", [(0.05, 1e154), (0.05, 1e300), (1e-160, 1e155)])
+    def test_x0_for_huge_c_is_none(self, eps, c):
+        # x0 >= 29 c^2 / 4 lies far past the cap; c * c would overflow
+        assert counterexample_scaling(1.0, eps, c).details["x0"] is None
 
     @pytest.mark.parametrize("x, c, name", [(math.inf, 1.0, "x"), (33.0, math.inf, "c")])
     def test_rejects_non_finite_x_and_c(self, x, c, name):
@@ -397,6 +406,15 @@ class TestWoodbury:
         with pytest.raises(PreconditionViolated):
             check_woodbury_norm(np.diag([0.4, 3.0]), np.eye(2), 0.25)
 
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            check_woodbury_norm(np.eye(3), np.eye(2), 1e-3)
+
+    def test_singular_perturbed_matrix(self):
+        # M passes the gate at its boundary; M + eps E = diag(1, 1e-12) does not
+        with pytest.raises(NotInvertible, match="perturbed"):
+            check_woodbury_norm(np.diag([1.0, 2e-12]), np.diag([0.0, -1.0]), 1e-12)
+
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_epsilon(self, eps):
         # before the 1/(2 eps) gate, which divides by zero at eps = 0
@@ -430,6 +448,11 @@ class TestKappaGrowth:
         with pytest.raises(OutOfValidityRange, match="epsilon must be positive"):
             check_kappa_growth(np.diag([2.0, 3.0]), np.eye(2), eps)
 
+    def test_gate_violation(self):
+        # ||M^-1|| = 10 exceeds 1/(2 eps) = 5
+        with pytest.raises(PreconditionViolated, match="exceeds 1/\\(2 eps\\)"):
+            check_kappa_growth(np.diag([0.1, 1.0]), np.eye(2), 0.1)
+
 
 class TestEigvecBound:
     def test_zero_epsilon(self):
@@ -454,6 +477,10 @@ class TestEigvecBound:
     def test_empty_matrices(self):
         with pytest.raises(OutOfValidityRange):
             check_eigvec_bound(np.zeros((0, 0)), np.zeros((0, 0)), 1e-3)
+
+    def test_direction_norm_above_one(self):
+        with pytest.raises(PreconditionViolated, match="must not exceed 1"):
+            check_eigvec_bound(np.diag([1.0, 2.0, 4.0]), 2.0 * np.eye(3), 1e-3)
 
     def test_repeated_eigenvalue(self):
         rng = np.random.default_rng(83)
@@ -489,6 +516,11 @@ class TestProjectionBound:
         a = np.diag([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(BadIndices, match="integer pair"):
             check_projection_bound(a, a + 0.01 * np.eye(4), s1, (2, 4))
+
+    def test_range_past_n(self):
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(BadIndices, match="not a valid range for n=4"):
+            check_projection_bound(a, a + 0.01 * np.eye(4), (0, 2), (2, 5))
 
     def test_numpy_integer_range(self):
         a = np.diag([1.0, 2.0, 3.0, 4.0])

@@ -1,6 +1,7 @@
 """The call-scoped eigensolve memo: fewer Jacobi runs, the same bits."""
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +10,19 @@ from conftest import random_spd, random_symmetric_unit, williamson_form
 from sympspec import cli, densemat
 from sympspec.densemat import NormKind, Spectrum, sym_eig, _reuses_solves
 from sympspec.errors import ConvergenceFailure, NotPositiveDefinite
-from sympspec.gaussian import entropy_difference_bound
+from sympspec.gaussian import entanglement_entropy, entropy_difference_bound
 from sympspec.perturb import (
     PerturbationCase,
     bound_S,
     bound_bhatia_jain,
     bound_gram,
     bound_spectrum,
+    check_eigvec_bound,
+    check_inv_lemma,
+    check_kappa_growth,
     check_projection_bound,
+    check_sqrt_lemma,
+    check_woodbury_norm,
     sweep,
 )
 from sympspec.symplectic import symplectic_spectrum, williamson
@@ -35,6 +41,39 @@ def kernel_runs(monkeypatch):
 
     monkeypatch.setattr(densemat, "_jacobi_kernel", counting)
     return runs
+
+
+_DATA = Path(__file__).parent / "data"
+_M, _MP, _E = (cli.load_matrix(_DATA / f"{name}.txt") for name in ("spd4", "spd4p", "e4"))
+_EPS = 1e-3
+_G, _G2 = np.diag([2.0, 1.5, 2.0, 1.5]), np.diag([2.0, 1.6, 2.0, 1.6])
+
+# Jacobi kernel runs each public call makes on the 4x4 test data: the cost
+# a change to the solve path has to keep, or to lower on purpose.
+_KERNEL_RUNS = {
+    "williamson": (5, lambda: williamson(_M)),
+    "symplectic_spectrum": (2, lambda: symplectic_spectrum(_M)),
+    "bound_spectrum": (6, lambda: bound_spectrum(_M, _MP, NormKind.OPERATOR)),
+    "bound_bhatia_jain": (8, lambda: bound_bhatia_jain(_M, _MP)),
+    "bound_S": (16, lambda: bound_S(PerturbationCase(_M, _E, _EPS))),
+    "bound_gram": (16, lambda: bound_gram(PerturbationCase(_M, _E, _EPS))),
+    "check_sqrt_lemma": (4, lambda: check_sqrt_lemma(_M, _MP)),
+    "check_inv_lemma": (6, lambda: check_inv_lemma(_M, _MP)),
+    "check_woodbury_norm": (3, lambda: check_woodbury_norm(_M, _E, _EPS)),
+    "check_kappa_growth": (3, lambda: check_kappa_growth(_M, _E, _EPS)),
+    "check_eigvec_bound": (3, lambda: check_eigvec_bound(_M, _E, _EPS)),
+    "check_projection_bound": (4, lambda: check_projection_bound(_M, _MP, (0, 2), (2, 4))),
+    "entanglement_entropy": (2, lambda: entanglement_entropy(_G)),
+    "entropy_difference_bound": (6, lambda: entropy_difference_bound(_G, _G2)),
+    "sweep": (39, lambda: sweep(_M, _E, [1e-4, 2e-4, 5e-4, 1e-3], "s_stability")),
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_RUNS))
+def test_kernel_runs_per_public_call(kernel_runs, name):
+    expected, call = _KERNEL_RUNS[name]
+    call()
+    assert len(kernel_runs) == expected
 
 
 def _as_hex(obj):
@@ -118,11 +157,11 @@ def test_convergence_failure_is_not_stored(kernel_runs, monkeypatch):
     counting = densemat._jacobi_kernel
     failures = [1]
 
-    def fails_once(a, v, off_tol, max_sweeps):
+    def fails_once(a, off_tol, max_sweeps):
         if failures:
             failures.pop()
-            return counting(a, v, off_tol, 1)
-        return counting(a, v, off_tol, max_sweeps)
+            return counting(a, off_tol, 1)
+        return counting(a, off_tol, max_sweeps)
 
     monkeypatch.setattr(densemat, "_jacobi_kernel", fails_once)
 

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spd, random_spd_generic, random_symplectic
+from conftest import (
+    random_spd,
+    random_spd_generic,
+    random_symmetric_unit,
+    random_symplectic,
+)
 from sympspec.densemat import NormKind, norm, psd_sqrt, singular_values
 from sympspec.errors import (
     DegenerateSpectrum,
@@ -242,6 +247,30 @@ class TestWilliamson:
     def test_too_few_seeds_is_a_pairing_failure(self):
         with pytest.raises(PairingFailure, match="extracted 1 modes, expected 2"):
             williamson(np.eye(4), _seed_order=[0])
+
+    def test_pair_defect_past_tolerance_is_a_pairing_failure(self):
+        # At kappa = 1e11 the paired basis drifts past PAIR_TOL (8e-8 here).
+        m = random_spd(np.random.default_rng(5), 8, 1e11)
+        with pytest.raises(PairingFailure, match="pair consistency defect"):
+            williamson(m)
+
+    def test_first_order_identity_matches_central_difference(self):
+        # For a simple symplectic eigenvalue, d_j'(M)[E] = (s_j^T E s_j +
+        # s_{n+j}^T E s_{n+j}) / 2 over the columns of S (Bhatia & Jain, J.
+        # Math. Phys. 2015). This ties williamson's S to symplectic_spectrum's
+        # d through two separate code paths.
+        rng = np.random.default_rng(601)
+        h = 1e-6
+        for case in range(20):
+            dim = 2 * (1 + case % 5)
+            m = random_spd(rng, dim, 10.0 ** rng.uniform(0.0, 3.0))
+            e = random_symmetric_unit(rng, dim)
+            fac = williamson(m)
+            n = fac.n_modes
+            quad = (fac.S * (e @ fac.S)).sum(axis=0)
+            first_order = (quad[:n] + quad[n:]) / 2.0
+            central = (symplectic_spectrum(m + h * e) - symplectic_spectrum(m - h * e)) / (2.0 * h)
+            assert np.all(np.abs(first_order - central) <= 1e-6 * fac.d)
 
     def test_errors(self):
         with pytest.raises(NotPositiveDefinite):

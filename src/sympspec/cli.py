@@ -374,7 +374,7 @@ def _cmd_sweep(args, out) -> int:
         e = load_matrix(args.perturbation)
     else:
         rng = np.random.default_rng(args.seed)
-        g = rng.standard_normal(m.shape)
+        g = rng.standard_normal((len(m), len(m)))
         e = (g + g.T) / 2.0
     grid = _parse_eps_grid(args.eps)
     report = sweep(m, e, grid, _BOUNDS[args.bound][0], _NORM_BY_FLAG[args.norm])

@@ -412,27 +412,26 @@ def spd_inverse(a) -> np.ndarray:
 
 def singular_values(a) -> np.ndarray:
     """Descending singular values: square roots of the eigenvalues of A^T A."""
+    # numpy forms m.T @ m by a symmetric rank-k update: bit-symmetric.
     m, exp = _rescaled(_require_square(as_matrix(a)))
-    gram = m.T @ m
-    vals = sym_eig((gram + gram.T) / 2.0).eigenvalues
+    vals = sym_eig(m.T @ m).eigenvalues
     return _unscale(np.sqrt(vals[::-1].clip(0.0)), exp)
 
 
 def norm(a, kind: NormKind = NormKind.OPERATOR) -> float:
     """Unitarily invariant norm of a square matrix."""
-    m = _require_square(as_matrix(a))
     if kind is NormKind.OPERATOR:
-        s = singular_values(m)
+        s = singular_values(a)
         return float(s[0]) if s.size else 0.0
-    if kind is not NormKind.FROBENIUS and kind is not NormKind.TRACE:
-        raise ValueError(f"unknown norm kind: {kind!r}")
     # Sum at the scale where no square and no sum overflows, then unscale
     # once; the scaled matrix's singular values need no rescale of their own.
-    m, exp = _rescaled(m)
+    m, exp = _rescaled(_require_square(as_matrix(a)))
     if kind is NormKind.FROBENIUS:
         total = np.sqrt((m * m).sum())
-    else:
+    elif kind is NormKind.TRACE:
         total = singular_values(m).sum()
+    else:
+        raise ValueError(f"unknown norm kind: {kind!r}")
     return float(_unscale(total, exp))
 
 

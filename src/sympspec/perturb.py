@@ -632,7 +632,7 @@ def sweep(m, e, eps_grid, bound: str, kind: NormKind = NormKind.OPERATOR) -> Swe
         _require_finite("epsilon", eps)
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
         raise OutOfValidityRange("epsilon grid must be nonempty and strictly increasing")
-    mat = as_matrix(m)
+    mat = _require_square(as_matrix(m))
     pert = as_matrix(e)
     if mat.shape != pert.shape:
         raise DimensionMismatch(f"shapes {mat.shape} and {pert.shape} differ")

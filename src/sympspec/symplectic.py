@@ -141,7 +141,7 @@ def _group_by_relative_gap(vals: np.ndarray, rel_tol: float) -> list[list[int]]:
     return groups
 
 
-def _extract_mode_pairs(b: np.ndarray, seed_order) -> tuple[list, list, list]:
+def _extract_mode_pairs(b: np.ndarray) -> tuple[list, list, list]:
     """Pair an orthonormal basis (x_j, y_j) with B x_j = -y_j / d_j.
 
     The eigenstructure of the antisymmetric B is read off the symmetric
@@ -153,7 +153,7 @@ def _extract_mode_pairs(b: np.ndarray, seed_order) -> tuple[list, list, list]:
 
     Within each positive eigenvalue group, candidate seeds are canonical
     basis vectors embedded as (0, e_i) and projected into the eigenspace,
-    taken in ``seed_order``; chosen mode planes are projected out of
+    taken in index order; chosen mode planes are projected out of
     subsequent seeds. This keeps the result deterministic and well-defined
     for degenerate symplectic spectra.
     """
@@ -181,12 +181,11 @@ def _extract_mode_pairs(b: np.ndarray, seed_order) -> tuple[list, list, list]:
         basis = vecs_pos[:, group]
         lam_group = float(np.mean(lam_pos[group]))
         d_eig = 1.0 / lam_group
-        for i in seed_order:
+        for i in range(dim):
             # Project the embedded seed (0, e_i) into the eigenspace, then
-            # out of every mode plane already taken.
+            # out of every mode plane already taken (none subtracts +0.0).
             w = basis @ basis[dim + i, :]
-            if chosen_w.shape[1]:
-                w = w - chosen_w @ (chosen_w.T @ w)
+            w = w - chosen_w @ (chosen_w.T @ w)
             r = float(np.sqrt(w @ w))
             if r < SEED_MIN_NORM:
                 continue
@@ -204,8 +203,7 @@ def _extract_mode_pairs(b: np.ndarray, seed_order) -> tuple[list, list, list]:
             # y is orthogonal to x and to earlier pairs up to rounding;
             # re-project to keep the assembled basis orthonormal.
             y = y - x * (x @ y)
-            if chosen_xy.shape[1]:
-                y = y - chosen_xy @ (chosen_xy.T @ y)
+            y = y - chosen_xy @ (chosen_xy.T @ y)
             y = y / float(np.sqrt(y @ y))
             xs.append(x)
             ys.append(y)
@@ -221,7 +219,7 @@ def _extract_mode_pairs(b: np.ndarray, seed_order) -> tuple[list, list, list]:
     return xs, ys, ds
 
 
-def williamson(m, _seed_order=None) -> WilliamsonFactorization:
+def williamson(m) -> WilliamsonFactorization:
     """Williamson factorization S^T M S = diag(d, d) of a positive definite M.
 
     The symplectic S is built as M^{-1/2} K diag(d, d)^{1/2} where K is an
@@ -241,8 +239,7 @@ def williamson(m, _seed_order=None) -> WilliamsonFactorization:
     b = inv_root @ sigma @ inv_root
     b = (b - b.T) / 2.0
 
-    seed_order = range(2 * n) if _seed_order is None else _seed_order
-    xs, ys, ds = _extract_mode_pairs(b, seed_order)
+    xs, ys, ds = _extract_mode_pairs(b)
     if len(ds) != n:
         raise PairingFailure(f"extracted {len(ds)} modes, expected {n}")
 
@@ -292,8 +289,8 @@ def gauge_align(
         )
     n = ref.n_modes
     if n > 1:
-        gaps = np.abs(np.subtract.outer(ref.d, ref.d))
-        min_gap = float(np.min(gaps[~np.eye(n, dtype=bool)]))
+        # Monotone rounding puts the least pair gap between sorted neighbours.
+        min_gap = float(np.min(np.diff(np.sort(ref.d))))
         if min_gap <= GAP_TOL_FACTOR * float(ref.d[0]):
             raise DegenerateSpectrum(
                 f"spectral gap {min_gap:.3e} below "

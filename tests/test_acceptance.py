@@ -90,6 +90,18 @@ def test_criterion_1_williamson_correctness(corpus):
     _report(1, "Williamson residuals on 500 matrices, cond up to 1e6, <60s", check)
 
 
+@pytest.mark.parametrize("dim", [4, 10, 20])
+def test_criterion_1_residuals_at_kappa_1e8(dim):
+    # The measured frontier of criterion 1's promise (README, Numerical
+    # notes): it holds in every case up to kappa = 1e9 (worst residual_symp
+    # 6.6e-10 here), and at 1e10 some cases break it without raising.
+    for seed in range(1000, 1006):
+        m = random_spd(np.random.default_rng(seed), dim, 1e8)
+        fac = williamson(m)
+        assert fac.residual_diag <= 1e-8 * norm(m, NormKind.OPERATOR)
+        assert fac.residual_symp <= 1e-8
+
+
 def test_criterion_2_spectrum_oracle(corpus):
     def check():
         for m, _ in corpus:

@@ -468,6 +468,19 @@ class TestBoundParity:
         assert text == ""
         assert capsys.readouterr().err == "error: shapes (4, 4) and (2, 2) differ\n"
 
+    @pytest.mark.parametrize("name", sorted(SWEEP_CALLS))
+    def test_sweep_non_square_without_direction(self, name, tmp_path, capsys):
+        # The seeded direction is drawn for M's row count, and sweep gates M,
+        # so the error is the one the same M gives with -e.
+        path = tmp_path / "ns.txt"
+        path.write_text(format_matrix(np.arange(6.0).reshape(2, 3)))
+        code, text = _run_text(["sweep", name, "-m", str(path), "--eps", "1e-3,2e-3"])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: expected a square matrix, got shape (2, 3)\n"
+        )
+
     def test_eigvec_negative_epsilon(self, files, capsys):
         # exit 2 is kept for a bound that fails with its preconditions met
         argv = ["check", "eigvec", "-m", files["m"][0], "-p", files["b"][0]]

@@ -1,0 +1,250 @@
+"""The error contract, by derandomized property tests.
+
+Every public function either returns a value or raises a SympspecError on
+any input: empty, odd, non-square and mismatched shapes; entries near
+2^+-1000, subnormal, NaN or infinite; indefinite and near-degenerate
+spectra; and epsilons that are zero, negative, NaN or huge. No warning
+escapes either, since the suite turns warnings into errors. `cli.run` lets
+no exception out, and when it exits 1 it prints one `error:` line and
+nothing on stdout.
+"""
+
+import contextlib
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sympspec import cli, densemat, gaussian, perturb, symplectic
+from sympspec.densemat import NormKind
+from sympspec.errors import SympspecError
+
+CONTRACT = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=20,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+SPECIALS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.0**-1000, 2.0**1000, -(2.0**1000),
+    1.7e308, -1.7e308, math.nan, math.inf, -math.inf,
+)
+
+KINDS = st.sampled_from(list(NormKind))
+RANGES = st.tuples(st.integers(-1, 7), st.integers(-1, 7))
+EPSILONS = st.one_of(
+    st.sampled_from((0.0, -0.0, -1e-3, -1.0, 5e-324, 0.5, 1.0, 1e300, math.nan, math.inf, -math.inf)),
+    st.floats(min_value=1e-9, max_value=0.2),
+)
+
+
+def _orthosymplectic(rng, n):
+    # [[X, -Y], [Y, X]] for a random unitary X + iY is orthogonal and symplectic.
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(z)
+    return np.block([[q.real, -q.imag], [q.imag, q.real]])
+
+
+@st.composite
+def matrices(draw):
+    """Structured and unstructured real matrices, mostly small and square."""
+    kind = draw(st.sampled_from(("raw", "spd", "indefinite", "degenerate", "special")))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "raw":
+        rows = draw(st.integers(0, 5))
+        cols = draw(st.one_of(st.just(rows), st.integers(0, 5)))
+        entries = st.one_of(st.sampled_from(SPECIALS), st.floats(width=64))
+        flat = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat, dtype=np.float64).reshape(rows, cols)
+    dim = draw(st.integers(1, 6))
+    if kind == "degenerate":
+        n = max(1, dim // 2)
+        gap = draw(st.sampled_from((0.0, 1e-15, 1e-9, 1e-6)))
+        d = 1.0 + np.arange(n) * gap
+        s = _orthosymplectic(rng, n) * np.concatenate([np.full(n, 2.0), np.full(n, 0.5)])
+        m = s @ np.diag(np.concatenate([d, d])) @ s.T
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        lam = np.geomspace(1.0, 10.0 ** draw(st.floats(0.0, 14.0)), dim)
+        if kind == "indefinite":
+            lam[0] = -lam[0]
+        m = (q * lam) @ q.T
+    m = (m + m.T) / 2.0
+    with np.errstate(all="ignore"):
+        m = np.ldexp(m, draw(st.one_of(st.just(0), st.integers(-1100, 1060))))
+    if kind == "special":
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        m[i, j] = draw(st.sampled_from(SPECIALS))
+        if draw(st.booleans()):
+            m[j, i] = m[i, j]
+    return m
+
+
+@st.composite
+def pairs(draw):
+    """(M, second): mostly a nearby symmetric matrix, else an independent draw."""
+    m = draw(matrices())
+    if not draw(st.integers(0, 3)) or m.shape[0] != m.shape[1]:
+        return m, draw(matrices())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal(m.shape)
+    with np.errstate(all="ignore"):
+        return m, m + draw(EPSILONS) * (g + g.T) / 2.0
+
+
+def _grid(draw):
+    # Mostly increasing and finite, so that the points themselves run.
+    grid = draw(st.lists(st.one_of(st.floats(1e-9, 0.2), EPSILONS), max_size=3))
+    return sorted(set(grid)) if draw(st.integers(0, 3)) else grid
+
+
+# name -> call(draw): draws its arguments and makes one call.
+LIBRARY_CALLS = {
+    "sym_eig": lambda draw: densemat.sym_eig(draw(matrices())),
+    "psd_sqrt": lambda draw: densemat.psd_sqrt(draw(matrices())),
+    "spd_inverse": lambda draw: densemat.spd_inverse(draw(matrices())),
+    "singular_values": lambda draw: densemat.singular_values(draw(matrices())),
+    "norm": lambda draw: densemat.norm(draw(matrices()), draw(KINDS)),
+    "condition_number": lambda draw: densemat.condition_number(draw(matrices())),
+    "standard_form": lambda draw: symplectic.standard_form(draw(st.integers(-2, 4))),
+    "is_symplectic": lambda draw: symplectic.is_symplectic(draw(matrices())),
+    "symplectic_inverse": lambda draw: symplectic.symplectic_inverse(draw(matrices())),
+    "symplectic_spectrum": lambda draw: symplectic.symplectic_spectrum(draw(matrices())),
+    "williamson": lambda draw: symplectic.williamson(draw(matrices())),
+    "gauge_align": lambda draw: symplectic.gauge_align(
+        *map(symplectic.williamson, draw(pairs()))
+    ),
+    "validate_covariance": lambda draw: gaussian.validate_covariance(draw(matrices())),
+    "is_pure": lambda draw: gaussian.is_pure(draw(matrices())),
+    "reduced_state": lambda draw: gaussian.reduced_state(
+        draw(matrices()), draw(st.lists(st.integers(-1, 3), max_size=3))
+    ),
+    "entanglement_entropy": lambda draw: gaussian.entanglement_entropy(draw(matrices())),
+    "entropy_difference_bound": lambda draw: gaussian.entropy_difference_bound(*draw(pairs())),
+    "GaussianState.create": lambda draw: gaussian.GaussianState.create(
+        draw(matrices()), draw(st.one_of(st.none(), matrices().map(np.ravel)))
+    ),
+    "bound_spectrum": lambda draw: perturb.bound_spectrum(*draw(pairs()), draw(KINDS)),
+    "bound_bhatia_jain": lambda draw: perturb.bound_bhatia_jain(*draw(pairs())),
+    "bound_S": lambda draw: perturb.bound_S(perturb.PerturbationCase(*draw(pairs()), draw(EPSILONS))),
+    "bound_gram": lambda draw: perturb.bound_gram(
+        perturb.PerturbationCase(*draw(pairs()), draw(EPSILONS))
+    ),
+    "check_sqrt_lemma": lambda draw: perturb.check_sqrt_lemma(*draw(pairs()), draw(KINDS)),
+    "check_inv_lemma": lambda draw: perturb.check_inv_lemma(*draw(pairs()), draw(KINDS)),
+    "check_woodbury_norm": lambda draw: perturb.check_woodbury_norm(*draw(pairs()), draw(EPSILONS)),
+    "check_kappa_growth": lambda draw: perturb.check_kappa_growth(*draw(pairs()), draw(EPSILONS)),
+    "check_eigvec_bound": lambda draw: perturb.check_eigvec_bound(*draw(pairs()), draw(EPSILONS)),
+    "check_projection_bound": lambda draw: perturb.check_projection_bound(
+        *draw(pairs()), draw(RANGES), draw(RANGES)
+    ),
+    "counterexample_scaling": lambda draw: perturb.counterexample_scaling(
+        draw(st.one_of(st.sampled_from(SPECIALS), st.floats(0.5, 1e6))),
+        draw(EPSILONS),
+        draw(st.one_of(st.sampled_from(SPECIALS), st.floats(1e-3, 2e3))),
+    ),
+    # Each valid epsilon costs about a second, so only invalid ones are drawn.
+    "degenerate_demo": lambda draw: perturb.degenerate_demo(
+        draw(st.sampled_from((0.0, -0.0, -1e-3, 1.0, 2.0, 1e300, math.nan, math.inf, -math.inf)))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_CALLS))
+@CONTRACT
+@given(data=st.data())
+def test_library_call_returns_or_raises_typed(name, data):
+    with contextlib.suppress(SympspecError):
+        LIBRARY_CALLS[name](data.draw)
+
+
+@pytest.mark.parametrize("bound", sorted(perturb.SWEEPABLE))
+@CONTRACT
+@given(data=st.data())
+def test_sweep_returns_or_raises_typed(bound, data):
+    m, e = data.draw(pairs())
+    with contextlib.suppress(SympspecError):
+        perturb.sweep(m, e, _grid(data.draw), bound, data.draw(KINDS))
+
+
+MALFORMED_FILES = ("", "\n", "1 2\n3\n", "# 2 2\n1 0\n", "x y\n", "# a b\n1\n", "1 nan\n")
+
+
+def _cli_argv(draw, write):
+    # One syntactically valid command line, with its matrix files written.
+    command = draw(st.sampled_from(("spectrum", "decompose", "entropy", "check", "sweep",
+                                    "counterexample", "demo-degenerate")))
+    argv = [
+        "--format", draw(st.sampled_from(("text", "csv", "json"))),
+        "--norm", draw(st.sampled_from(("op", "fro", "trace"))),
+    ]
+    if draw(st.booleans()):
+        argv.append("--bits")
+    if command in ("spectrum", "decompose", "entropy"):
+        return argv + [command, write("m")]
+    if command == "counterexample":
+        x, c = (repr(draw(st.one_of(st.sampled_from(SPECIALS), st.floats(0.5, 1e4)))) for _ in "xc")
+        return argv + [command, f"--x={x}", f"--eps={draw(EPSILONS)!r}", f"--c={c}"]
+    if command == "demo-degenerate":
+        return argv + [command, "--eps=" + draw(st.sampled_from(("0", "-1e-3", "1", "nan", "inf")))]
+    if command == "sweep":
+        bound = draw(st.sampled_from([b for b, (how, _) in cli._BOUNDS.items()
+                                      if how in perturb.SWEEPABLE]))
+        argv += [command, bound, "-m", write("m")]
+        if draw(st.booleans()):
+            argv += ["-e", write("e")]
+        grid = ",".join(repr(x) for x in _grid(draw))
+        spec = draw(st.sampled_from((grid, "1e-6:1e-3:3", "1e-3:1e-6:3", "0:1e-3:2", "1e-4:1e-3:0")))
+        return argv + ["--eps=" + spec]
+    bound = draw(st.sampled_from(sorted(cli._BOUNDS)))
+    argv += [command, bound, "-m", write("m")]
+    flag_values = {
+        "-p": lambda: write("p"),
+        "-e": lambda: write("e"),
+        "--eps": lambda: repr(draw(EPSILONS)),
+        "--s1": lambda: draw(st.sampled_from(("0:1", "0:2", "1:3", "2:1", "0:9", "a:b"))),
+        "--s2": lambda: draw(st.sampled_from(("1:2", "2:4", "0:1", "3:3", "0:2:1"))),
+    }
+    for flag in cli._BOUNDS[bound][1]:
+        if draw(st.integers(0, 9)):   # now and then a required flag is left out
+            value = flag_values[flag]()
+            argv += [f"{flag}={value}"] if flag.startswith("--") else [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+@settings(CONTRACT, max_examples=300)
+@given(data=st.data())
+def test_cli_exits_0_or_1_with_one_error_line(data, workdir):
+    m, second = data.draw(pairs())
+    mats = {"m": m, "p": second, "e": data.draw(matrices())}
+
+    def write(name):
+        path = workdir / f"{name}.txt"
+        if data.draw(st.integers(0, 9)) == 0:
+            return str(workdir / "missing.txt")
+        if data.draw(st.integers(0, 9)) == 0:
+            path.write_text(data.draw(st.sampled_from(MALFORMED_FILES)))
+        else:
+            path.write_text(cli.format_matrix(mats[name]))
+        return str(path)
+
+    argv = _cli_argv(data.draw, write)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run(argv, out=out)
+    assert code in (0, 1), (argv, code, err.getvalue())
+    if code == 1:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

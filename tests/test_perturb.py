@@ -14,6 +14,7 @@ from sympspec.errors import (
     NonFinite,
     NotInvertible,
     NotPositiveDefinite,
+    NotSquare,
     OutOfValidityRange,
     PreconditionViolated,
     ZeroGap,
@@ -241,17 +242,18 @@ class TestBoundGram:
 
     def test_gauge_invariance_of_lhs(self):
         # A degenerate spectrum has residual gauge freedom; the Gram factor
-        # must not see it even when the eigenspace seeds are permuted.
+        # must not see it for another diagonalizer of the same M.
         rng = np.random.default_rng(75)
         e = random_symmetric_unit(rng, 4)
         case = PerturbationCase(np.eye(4), e, 1e-5)
         r1 = bound_gram(case)
         from sympspec.densemat import spd_inverse
 
-        fac_rev = williamson(np.eye(4), _seed_order=[3, 2, 1, 0])
+        # The mode swap is symplectic and orthogonal: another diagonalizer of I.
+        swap = np.eye(4)[:, [1, 0, 3, 2]]
         fac_eps = williamson(case.perturbed())
         lhs_rev = norm(
-            spd_inverse(fac_rev.S @ fac_rev.S.T)
+            spd_inverse(swap @ swap.T)
             - spd_inverse(fac_eps.S @ fac_eps.S.T),
             NormKind.OPERATOR,
         )
@@ -599,6 +601,12 @@ class TestSweep:
         # inv_lemma would otherwise form M + eps E and fail inside numpy
         with pytest.raises(DimensionMismatch):
             sweep(np.eye(4), np.eye(2), [1e-4, 1e-3], name)
+
+    @pytest.mark.parametrize("name", sorted(SWEEPABLE))
+    def test_rejects_non_square_m(self, name):
+        # M is gated before its shape is compared with E's
+        with pytest.raises(NotSquare, match=r"got shape \(2, 3\)"):
+            sweep(np.ones((2, 3)), np.eye(2), [1e-4, 1e-3], name)
 
     @pytest.mark.parametrize("grid", [[1e-3, math.inf], [1e-3, math.nan], [math.nan, 1e-3]])
     def test_rejects_non_finite_grid(self, grid):

@@ -29,6 +29,7 @@ from .densemat import (
     _require_symmetric,
     _reuses_solves,
     _spd_spectrum,
+    _unscale,
     TOL_PD,
 )
 from .errors import (
@@ -42,10 +43,10 @@ from .errors import (
     ZeroGap,
 )
 from .symplectic import (
-    gauge_align,
     standard_form,
     symplectic_spectrum,
-    williamson,
+    _gauge_align,
+    _williamson_core,
 )
 
 HOLDS_SLACK = 1e-12          # slack in the holds comparison, times max(1, rhs)
@@ -278,12 +279,15 @@ def _signed_spectral_gap(d: np.ndarray) -> float:
 
 
 def _factor_pair(case: PerturbationCase):
-    # Williamson factorizations of M and of M + eps E, then M's smallest and
-    # largest eigenvalues (a repeat of the M solve inside williamson).
-    fac = williamson(case.m)
-    fac_eps = williamson(case.perturbed())
+    # williamson's S and d for M and for M + eps E, without its residual
+    # solves, then M's smallest and largest eigenvalues (a repeat of the M
+    # solve inside them).
+    pairs = []
+    for mat in (case.m, case.perturbed()):
+        s, d, _, exp = _williamson_core(mat)
+        pairs.append((s, _unscale(d, exp)))
     vals = sym_eig(case.m).eigenvalues
-    return fac, fac_eps, float(vals[0]), float(vals[-1])
+    return pairs[0], pairs[1], float(vals[0]), float(vals[-1])
 
 
 @_reuses_solves
@@ -297,11 +301,11 @@ def bound_S(case: PerturbationCase) -> BoundReport:
     nondegenerate spectrum; the gate eps < min(1/(2||M^-1||), ||M||) is
     recorded in ``preconditions_met``.
     """
-    fac, fac_eps, lam_min, lam_max = _factor_pair(case)
-    lhs = gauge_align(fac, fac_eps).distance
+    (s, d), (s_eps, d_eps), lam_min, lam_max = _factor_pair(case)
+    lhs = _gauge_align(s, d, s_eps, d_eps).distance
     kappa = lam_max / lam_min
-    n = fac.n_modes
-    delta = _signed_spectral_gap(fac.d)
+    n = len(d)
+    delta = _signed_spectral_gap(d)
     inv_root_norm = 1.0 / math.sqrt(lam_min)
     rhs = (
         4.0
@@ -330,13 +334,13 @@ def bound_gram(case: PerturbationCase) -> BoundReport:
     1/(2||M^-1||)) are evaluated and recorded; out-of-range epsilons are
     flagged non-binding rather than rejected.
     """
-    fac, fac_eps, lam_min, lam_max = _factor_pair(case)
-    gram = spd_inverse(fac.S @ fac.S.T)
-    gram_eps = spd_inverse(fac_eps.S @ fac_eps.S.T)
+    (s, d), (s_eps, _), lam_min, lam_max = _factor_pair(case)
+    gram = spd_inverse(s @ s.T)
+    gram_eps = spd_inverse(s_eps @ s_eps.T)
     lhs = norm(gram - gram_eps, NormKind.OPERATOR)
     kappa = lam_max / lam_min
     inv_norm = 1.0 / lam_min
-    n = fac.n_modes
+    n = len(d)
     rhs = 9.0 * math.pi * n**3 * kappa**2 * inv_norm**0.25 * case.epsilon**0.25
     gates = {
         "norm_over_kappa_43": lam_max / (6.0 * kappa) ** (4.0 / 3.0),
@@ -403,15 +407,15 @@ def degenerate_demo(epsilon: float) -> DegenerateDemoReport:
     )
     mp = np.diag([1.0 + epsilon, 1.0 - epsilon, 1.0 + epsilon, 1.0 - epsilon])
 
-    fac = williamson(m)
-    fac_p = williamson(mp)
-    s_dist = norm(fac.S - fac_p.S, NormKind.OPERATOR)
+    s = _williamson_core(m)[0]
+    s_p = _williamson_core(mp)[0]
+    s_dist = norm(s - s_p, NormKind.OPERATOR)
 
     angles = np.arange(360) * (2.0 * math.pi / 360.0)
-    aligned_dist = float(_min_opnorm_over_rotations(fac.S, fac_p.S, angles))
+    aligned_dist = float(_min_opnorm_over_rotations(s, s_p, angles))
 
-    gram = spd_inverse(fac.S @ fac.S.T)
-    gram_p = spd_inverse(fac_p.S @ fac_p.S.T)
+    gram = spd_inverse(s @ s.T)
+    gram_p = spd_inverse(s_p @ s_p.T)
     gram_dist = norm(gram - gram_p, NormKind.OPERATOR)
 
     sigma = standard_form(2)

@@ -10,6 +10,7 @@ computed entirely in real arithmetic from the antisymmetric kernel
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .densemat import (
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
+    NonFinite,
     OddDimension,
     PairingFailure,
     ZeroModes,
@@ -219,17 +221,12 @@ def _extract_mode_pairs(b: np.ndarray) -> tuple[list, list, list]:
     return xs, ys, ds
 
 
-def williamson(m) -> WilliamsonFactorization:
-    """Williamson factorization S^T M S = diag(d, d) of a positive definite M.
-
-    The symplectic S is built as M^{-1/2} K diag(d, d)^{1/2} where K is an
-    orthogonal basis paired from the eigenspaces of the antisymmetric kernel
-    B = M^{-1/2} sigma M^{-1/2} (via its symmetric doubled embedding). The
-    gauge (choice of K on degenerate eigenspaces) is fixed deterministically
-    by canonical-basis seeds.
-    """
+def _williamson_core(m) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    # Every step of williamson up to S and d, without its two residual
+    # solves: (S, d / 4^j, M / 4^j, 2j). Callers that read only S and d skip
+    # those solves; d scales back with _unscale(d, 2j).
     mat, n, exp = _scaled_even(m)
-    # S is the same at M / 4^j, while d and residual_diag scale back by 4^j.
+    # S is the same at M / 4^j.
     spec = _spd_spectrum(mat)
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     inv_root = (vecs / np.sqrt(vals)) @ vecs.T
@@ -253,8 +250,24 @@ def williamson(m) -> WilliamsonFactorization:
             f"assembled basis is not orthogonal: defect {ortho_defect:.3e}"
         )
 
+    s = inv_root @ (k * np.sqrt(np.concatenate([d, d])))
+    return s, d, mat, exp
+
+
+def williamson(m) -> WilliamsonFactorization:
+    """Williamson factorization S^T M S = diag(d, d) of a positive definite M.
+
+    The symplectic S is built as M^{-1/2} K diag(d, d)^{1/2} where K is an
+    orthogonal basis paired from the eigenspaces of the antisymmetric kernel
+    B = M^{-1/2} sigma M^{-1/2} (via its symmetric doubled embedding). The
+    gauge (choice of K on degenerate eigenspaces) is fixed deterministically
+    by canonical-basis seeds.
+    """
+    s, d, mat, exp = _williamson_core(m)
+    # d and residual_diag scale back by 4^j.
+    n = d.shape[0]
+    sigma = standard_form(n)
     d_full = np.concatenate([d, d])
-    s = inv_root @ (k * np.sqrt(d_full))
     residual_diag = norm(s.T @ mat @ s - np.diag(d_full), NormKind.OPERATOR)
     residual_symp = norm(s.T @ sigma @ s - sigma, NormKind.OPERATOR)
     return WilliamsonFactorization(
@@ -287,20 +300,31 @@ def gauge_align(
         raise DimensionMismatch(
             f"shape {ref.S.shape} vs {other.S.shape}"
         )
-    n = ref.n_modes
+    for fac in (ref, other):
+        if fac.S.shape != (2 * fac.n_modes,) * 2 or np.shape(fac.d) != (fac.n_modes,):
+            raise DimensionMismatch(
+                f"{fac.n_modes} modes with S of shape {fac.S.shape} "
+                f"and d of shape {np.shape(fac.d)}"
+            )
+    return _gauge_align(ref.S, ref.d, other.S, other.d)
+
+
+def _gauge_align(ref_s, ref_d, other_s, other_d) -> GaugeAlignment:
+    # gauge_align on two consistent (S, d) pairs of one dimension.
+    n = len(ref_d)
     if n > 1:
         # Monotone rounding puts the least pair gap between sorted neighbours.
-        min_gap = float(np.min(np.diff(np.sort(ref.d))))
-        if min_gap <= GAP_TOL_FACTOR * float(ref.d[0]):
+        min_gap = float(np.min(np.diff(np.sort(ref_d))))
+        if min_gap <= GAP_TOL_FACTOR * float(ref_d[0]):
             raise DegenerateSpectrum(
                 f"spectral gap {min_gap:.3e} below "
-                f"{GAP_TOL_FACTOR:.1e} * {ref.d[0]:.6e}"
+                f"{GAP_TOL_FACTOR:.1e} * {ref_d[0]:.6e}"
             )
     angles = np.zeros(n)
-    aligned = other.S.copy()
+    aligned = other_s.copy()
     for j in range(n):
-        a = ref.S[:, j]
-        bcol = ref.S[:, n + j]
+        a = ref_s[:, j]
+        bcol = ref_s[:, n + j]
         u = aligned[:, j].copy()
         w = aligned[:, n + j].copy()
         p = float(a @ u + bcol @ w)
@@ -310,17 +334,29 @@ def gauge_align(
         c, sn = np.cos(theta), np.sin(theta)
         aligned[:, j] = c * u + sn * w
         aligned[:, n + j] = -sn * u + c * w
-    distance = norm(ref.S - aligned, NormKind.OPERATOR)
+    distance = norm(ref_s - aligned, NormKind.OPERATOR)
 
     # The rotations commute with diag(d, d), so the aligned S still
     # diagonalizes the matrix `other` came from; verify against the
     # reconstruction rather than trust it.
-    d_full = np.concatenate([other.d, other.d])
-    other_inv = symplectic_inverse(other.S)
+    d_full = np.concatenate([other_d, other_d])
+    other_inv = symplectic_inverse(other_s)
     m_other = other_inv.T @ np.diag(d_full) @ other_inv
-    resid = norm(aligned.T @ m_other @ aligned - np.diag(d_full), NormKind.OPERATOR)
-    if resid > RESIDUAL_TOL * norm(m_other, NormKind.OPERATOR):
-        raise PairingFailure(
-            f"alignment broke the factorization: residual {resid:.3e}"
-        )
+    x = aligned.T @ m_other @ aligned - np.diag(d_full)
+    # ||X||_op <= ||X||_F and ||M||_op >= ||M||_F / sqrt(2n) (Golub & Van
+    # Loan, Matrix Computations, 2.3), so the Frobenius bound below, with a
+    # factor 2 to spare for rounding, accepts without two solves. Where it
+    # does not, or a norm leaves the normal float range, the operator norms
+    # decide as they would alone.
+    try:
+        bound = RESIDUAL_TOL * norm(m_other, NormKind.FROBENIUS) / (2.0 * math.sqrt(2 * n))
+        accepted = bound >= sys.float_info.min and norm(x, NormKind.FROBENIUS) <= bound
+    except NonFinite:
+        accepted = False
+    if not accepted:
+        resid = norm(x, NormKind.OPERATOR)
+        if resid > RESIDUAL_TOL * norm(m_other, NormKind.OPERATOR):
+            raise PairingFailure(
+                f"alignment broke the factorization: residual {resid:.3e}"
+            )
     return GaugeAlignment(angles=angles, aligned_S=aligned, distance=distance)

@@ -57,3 +57,18 @@ def williamson_form(rng, d_values):
     s_inv = np.linalg.inv(s)
     m = s_inv.T @ np.diag(d_full) @ s_inv
     return (m + m.T) / 2.0
+
+
+def as_hex(obj):
+    """Every float as its exact hex form, recursively; arrays by element."""
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    if isinstance(obj, np.ndarray):
+        return [as_hex(x) for x in obj.tolist()]
+    if isinstance(obj, dict):
+        return {k: as_hex(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_hex(x) for x in obj]
+    if hasattr(obj, "__dataclass_fields__"):
+        return {k: as_hex(getattr(obj, k)) for k in obj.__dataclass_fields__}
+    return obj

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_spd, random_symmetric_unit, williamson_form
+from conftest import as_hex, random_spd, random_symmetric_unit, williamson_form
 from sympspec import cli, densemat
 from sympspec.densemat import NormKind, Spectrum, sym_eig, _reuses_solves
 from sympspec.errors import ConvergenceFailure, NotPositiveDefinite
@@ -55,8 +55,8 @@ _KERNEL_RUNS = {
     "symplectic_spectrum": (2, lambda: symplectic_spectrum(_M)),
     "bound_spectrum": (6, lambda: bound_spectrum(_M, _MP, NormKind.OPERATOR)),
     "bound_bhatia_jain": (8, lambda: bound_bhatia_jain(_M, _MP)),
-    "bound_S": (16, lambda: bound_S(PerturbationCase(_M, _E, _EPS))),
-    "bound_gram": (16, lambda: bound_gram(PerturbationCase(_M, _E, _EPS))),
+    "bound_S": (10, lambda: bound_S(PerturbationCase(_M, _E, _EPS))),
+    "bound_gram": (12, lambda: bound_gram(PerturbationCase(_M, _E, _EPS))),
     "check_sqrt_lemma": (4, lambda: check_sqrt_lemma(_M, _MP)),
     "check_inv_lemma": (6, lambda: check_inv_lemma(_M, _MP)),
     "check_woodbury_norm": (3, lambda: check_woodbury_norm(_M, _E, _EPS)),
@@ -65,7 +65,7 @@ _KERNEL_RUNS = {
     "check_projection_bound": (4, lambda: check_projection_bound(_M, _MP, (0, 2), (2, 4))),
     "entanglement_entropy": (2, lambda: entanglement_entropy(_G)),
     "entropy_difference_bound": (6, lambda: entropy_difference_bound(_G, _G2)),
-    "sweep": (39, lambda: sweep(_M, _E, [1e-4, 2e-4, 5e-4, 1e-3], "s_stability")),
+    "sweep": (21, lambda: sweep(_M, _E, [1e-4, 2e-4, 5e-4, 1e-3], "s_stability")),
 }
 
 
@@ -74,21 +74,6 @@ def test_kernel_runs_per_public_call(kernel_runs, name):
     expected, call = _KERNEL_RUNS[name]
     call()
     assert len(kernel_runs) == expected
-
-
-def _as_hex(obj):
-    # Every float as its exact hex form, recursively; arrays by element.
-    if isinstance(obj, (float, np.floating)):
-        return float(obj).hex()
-    if isinstance(obj, np.ndarray):
-        return [_as_hex(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _as_hex(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_as_hex(x) for x in obj]
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: _as_hex(getattr(obj, k)) for k in obj.__dataclass_fields__}
-    return obj
 
 
 def _two_mode_pair():
@@ -115,7 +100,7 @@ def test_sweep_solves_fewer_than_separate_calls(kernel_runs):
     separate = [(x, bound_S(PerturbationCase(m, e, x))) for x in grid]
     assert swept < len(kernel_runs)
     assert not report.errors
-    assert _as_hex(list(report.grid)) == _as_hex(separate)
+    assert as_hex(list(report.grid)) == as_hex(separate)
 
 
 def test_back_to_back_calls_solve_again(kernel_runs):
@@ -219,10 +204,10 @@ def _decorated_outputs(tmp_path):
 
 
 def test_outputs_equal_forced_miss_bitwise(kernel_runs, tmp_path, monkeypatch):
-    with_memo = _as_hex(_decorated_outputs(tmp_path))
+    with_memo = as_hex(_decorated_outputs(tmp_path))
     runs_with_memo = len(kernel_runs)
     del kernel_runs[:]
     monkeypatch.setattr(densemat, "SOLVE_MEMO_CAPACITY", 0)
-    all_miss = _as_hex(_decorated_outputs(tmp_path))
+    all_miss = as_hex(_decorated_outputs(tmp_path))
     assert runs_with_memo < len(kernel_runs)
     assert with_memo == all_miss

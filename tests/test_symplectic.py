@@ -336,8 +336,22 @@ class TestGaugeAlign:
         rng = np.random.default_rng(62)
         a = williamson(random_spd(rng, 4, 10.0))
         b = williamson(random_spd(rng, 6, 10.0))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^shape \(4, 4\) vs \(6, 6\)$"):
             gauge_align(a, b)
+
+    def test_malformed_pair_is_a_dimension_mismatch(self):
+        # S shapes agree, but d or n_modes does not fit S.
+        fac = williamson(random_spd(np.random.default_rng(65), 4, 10.0))
+        malformed = [
+            symplectic.WilliamsonFactorization(1, fac.S, fac.d[:1], 0.0, 0.0),
+            dataclasses.replace(fac, d=fac.d[:1]),
+            dataclasses.replace(fac, n_modes=1),
+            dataclasses.replace(fac, d=np.concatenate([fac.d, fac.d])),
+        ]
+        for bad in malformed:
+            for ref, other in ((fac, bad), (bad, fac)):
+                with pytest.raises(DimensionMismatch, match="modes with S of shape"):
+                    gauge_align(ref, other)
 
     def test_aligned_stays_symplectic_and_diagonalizing(self):
         rng = np.random.default_rng(63)

@@ -45,6 +45,8 @@ _NON_BINDING_LABELS = {"entropy_difference"}
 
 _UNSET = object()
 
+_EPS_GRID_MAX_POINTS = 1_000_000   # most points of an --eps a:b:count grid, 8 MB
+
 # Every bound the CLI offers -> (how, flags). `how` is the bound's
 # perturb.SWEEPABLE name or, for a bound only `check` runs, its checker, called
 # with M and the flags' values. `flags` are what `check` needs after -m, in the
@@ -279,6 +281,8 @@ def _parse_eps_grid(spec: str):
             raise ParseError(f"bad --eps grid: {exc}") from exc
         if count < 1 or not 0.0 < start < stop < math.inf:
             raise ParseError("--eps grid needs 0 < start < stop < inf and count >= 1")
+        if count > _EPS_GRID_MAX_POINTS:
+            raise ParseError(f"--eps grid count {count} exceeds {_EPS_GRID_MAX_POINTS}")
         return np.geomspace(start, stop, count)
     try:
         return [float(tok) for tok in spec.split(",") if tok]

@@ -221,10 +221,10 @@ def _extract_mode_pairs(b: np.ndarray) -> tuple[list, list, list]:
     return xs, ys, ds
 
 
-def _williamson_core(m) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _williamson_core(m) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     # Every step of williamson up to S and d, without its two residual
-    # solves: (S, d / 4^j, M / 4^j, 2j). Callers that read only S and d skip
-    # those solves; d scales back with _unscale(d, 2j).
+    # solves: (S, d / 4^j, M / 4^j, 2j, eigenvalues of M / 4^j). Callers that
+    # read only these skip those solves; each scales back with _unscale(x, 2j).
     mat, n, exp = _scaled_even(m)
     # S is the same at M / 4^j.
     spec = _spd_spectrum(mat)
@@ -240,10 +240,9 @@ def _williamson_core(m) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     if len(ds) != n:
         raise PairingFailure(f"extracted {len(ds)} modes, expected {n}")
 
-    # Descending d; the stable sort keeps the seed gauge on ties.
-    order = np.argsort(-np.asarray(ds), kind="stable")
-    d = np.asarray(ds)[order]
-    k = np.column_stack([xs[i] for i in order] + [ys[i] for i in order])
+    # d already descends: the groups ascend in 1/d and are GROUP_TOL apart.
+    d = np.asarray(ds)
+    k = np.column_stack(xs + ys)
     ortho_defect = norm(k.T @ k - np.eye(2 * n), NormKind.OPERATOR)
     if ortho_defect > RESIDUAL_TOL:
         raise PairingFailure(
@@ -251,7 +250,7 @@ def _williamson_core(m) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         )
 
     s = inv_root @ (k * np.sqrt(np.concatenate([d, d])))
-    return s, d, mat, exp
+    return s, d, mat, exp, vals
 
 
 def williamson(m) -> WilliamsonFactorization:
@@ -263,7 +262,7 @@ def williamson(m) -> WilliamsonFactorization:
     gauge (choice of K on degenerate eigenspaces) is fixed deterministically
     by canonical-basis seeds.
     """
-    s, d, mat, exp = _williamson_core(m)
+    s, d, mat, exp, _ = _williamson_core(m)
     # d and residual_diag scale back by 4^j.
     n = d.shape[0]
     sigma = standard_form(n)

@@ -19,6 +19,21 @@ def no_leaked_solve_memo():
     assert densemat._solve_memo.get() is None
 
 
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Count Jacobi kernel runs; each entry is the memo size at that run."""
+    runs = []
+    kernel = densemat._jacobi_kernel
+
+    def counting(*args):
+        memo = densemat._solve_memo.get()
+        runs.append(None if memo is None else len(memo))
+        return kernel(*args)
+
+    monkeypatch.setattr(densemat, "_jacobi_kernel", counting)
+    return runs
+
+
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))

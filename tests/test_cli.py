@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sympspec import cli
 from sympspec.cli import (
     CSV_HEADER,
     build_parser,
@@ -529,6 +530,23 @@ class TestBoundParity:
         assert text == ""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_sweep_huge_grid_count(self, files, capsys):
+        # rejected before numpy is asked for 10^15 points (7.11 PiB), which
+        # would raise MemoryError out of run
+        argv = ["sweep", "gram", "-m", files["m"][0], "-e", files["e"][0]]
+        code, text = _run_text(argv + ["--eps", "1e-6:1e-3:1000000000000000"])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: --eps grid count 1000000000000000 exceeds 1000000\n"
+        )
+
+    def test_grid_count_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "_EPS_GRID_MAX_POINTS", 3)
+        assert len(cli._parse_eps_grid("1e-6:1e-3:3")) == 3
+        with pytest.raises(ParseError, match="count 4 exceeds 3"):
+            cli._parse_eps_grid("1e-6:1e-3:4")
 
     def test_check_bad_index_range(self, files, capsys):
         argv = ["check", "projection", "-m", files["m"][0], "-p", files["p"][0]]

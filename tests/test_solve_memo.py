@@ -28,21 +28,6 @@ from sympspec.perturb import (
 from sympspec.symplectic import symplectic_spectrum, williamson
 
 
-@pytest.fixture
-def kernel_runs(monkeypatch):
-    """Count Jacobi kernel runs; each entry is the memo size at that run."""
-    runs = []
-    kernel = densemat._jacobi_kernel
-
-    def counting(*args):
-        memo = densemat._solve_memo.get()
-        runs.append(None if memo is None else len(memo))
-        return kernel(*args)
-
-    monkeypatch.setattr(densemat, "_jacobi_kernel", counting)
-    return runs
-
-
 _DATA = Path(__file__).parent / "data"
 _M, _MP, _E = (cli.load_matrix(_DATA / f"{name}.txt") for name in ("spd4", "spd4p", "e4"))
 _EPS = 1e-3

@@ -13,6 +13,7 @@ from conftest import (
     random_spd_generic,
     random_symmetric_unit,
     random_symplectic,
+    williamson_form,
 )
 from sympspec import symplectic
 from sympspec.densemat import NormKind, norm, psd_sqrt, singular_values
@@ -140,6 +141,22 @@ class TestSymplecticSpectrum:
             symplectic_spectrum(np.eye(3))
 
 
+def _descending_d_cases():
+    # (M, number of distinct d or None): 40 matrices drawn as in criterion 1
+    # at 2n = 2..16; a repeated d, and gaps of 1e-9 and 1e-7 relative, which
+    # GROUP_TOL = 1e-8 merges into one group and keeps apart; the identity.
+    cases = []
+    for k in range(40):
+        rng = np.random.default_rng(2400 + k)
+        kappa, scale = 10.0 ** rng.uniform(0.0, 6.0), 10.0 ** rng.uniform(-1.0, 1.0)
+        cases.append((random_spd(rng, 2 + 2 * (k % 8), kappa, scale), None))
+    for gap, distinct in ((0.0, 2), (1e-9, 2), (1e-7, 3)):
+        m = williamson_form(np.random.default_rng(46), [3.0, 2.0 * (1.0 + gap), 2.0])
+        cases.append((m, distinct))
+    cases.append((np.eye(6), 1))
+    return cases
+
+
 class TestWilliamson:
     def test_identity_canonical_gauge(self):
         fac = williamson(np.eye(4))
@@ -244,6 +261,27 @@ class TestWilliamson:
         fac = williamson((m + m.T) / 2.0)
         np.testing.assert_allclose(fac.d, [2.0, 2.0], rtol=1e-10)
         assert fac.residual_symp <= 1e-8
+
+    @pytest.mark.parametrize("case", range(len(_descending_d_cases())))
+    def test_mode_pairs_come_out_in_descending_d(self, case, monkeypatch):
+        # williamson keeps the order of _extract_mode_pairs: its groups ascend
+        # in 1/d and lie more than GROUP_TOL apart, so d never rises.
+        m, distinct = _descending_d_cases()[case]
+        seen = []
+        extract = symplectic._extract_mode_pairs
+
+        def recording(b):
+            xs, ys, ds = extract(b)
+            seen.append(ds)
+            return xs, ys, ds
+
+        monkeypatch.setattr(symplectic, "_extract_mode_pairs", recording)
+        fac = williamson(m)
+        (ds,) = seen
+        assert all(a >= b for a, b in zip(ds, ds[1:]))
+        assert np.asarray(ds).tobytes() == fac.d.tobytes()
+        if distinct is not None:
+            assert len(set(ds)) == distinct
 
     def test_too_few_seeds_is_a_pairing_failure(self, monkeypatch):
         # No projected seed can reach norm 2, so every seed is rejected.

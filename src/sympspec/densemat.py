@@ -399,15 +399,20 @@ def psd_sqrt(a) -> np.ndarray:
     return (r + r.T) / 2.0
 
 
-def spd_inverse(a) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix."""
+def _spd_inverse(a) -> tuple[np.ndarray, np.ndarray, int]:
+    # (A^-1, the ascending eigenvalues of A / 2^k it was built from, k).
     # Invert A / 2^k, whose largest entry is near 1, then scale back;
     # _unscale raises NonFinite where A^-1 passes the largest float.
     m, exp = _rescaled(_require_square(as_matrix(a)))
     spec = _spd_spectrum(m)
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     w = (vecs / vals) @ vecs.T
-    return _unscale((w + w.T) / 2.0, -exp)
+    return _unscale((w + w.T) / 2.0, -exp), vals, exp
+
+
+def spd_inverse(a) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix."""
+    return _spd_inverse(a)[0]
 
 
 def singular_values(a) -> np.ndarray:

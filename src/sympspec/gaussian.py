@@ -17,7 +17,6 @@ import numpy as np
 from .densemat import (
     NormKind,
     as_matrix,
-    condition_number,
     norm,
     _as_real,
     _require_square,
@@ -25,7 +24,7 @@ from .densemat import (
     _reuses_solves,
 )
 from .errors import BadIndices, InvalidCovariance, NonFinite, NotInterior
-from .perturb import BoundReport, _symmetric_pair
+from .perturb import BoundReport, _kappa_and_norm, _symmetric_pair
 from .symplectic import symplectic_spectrum
 
 HEISENBERG_TOL = 1e-10   # validity: min symplectic eigenvalue >= 1 - this
@@ -156,10 +155,11 @@ def entropy_difference_bound(cov, cov2) -> BoundReport:
                 f"{rep.min_symplectic_eigenvalue:.12g}, not interior"
             )
     lhs = abs(ha.entropy - hb.entropy)
-    kappa_term = math.sqrt(condition_number(a) * condition_number(b))
+    kappa_a, norm_a = _kappa_and_norm(a)
+    kappa_b, _ = _kappa_and_norm(b)
+    kappa_term = math.sqrt(kappa_a * kappa_b)
     # The max in the bound is ||g||: (||g^-1||^-1 - 1) / 2 never exceeds it.
-    log_arg = norm(a, NormKind.OPERATOR)
-    rhs = kappa_term * (1.0 + math.log(log_arg)) * norm(a - b, NormKind.TRACE)
+    rhs = kappa_term * (1.0 + math.log(norm_a)) * norm(a - b, NormKind.TRACE)
     return BoundReport.from_sides(
         lhs,
         rhs,

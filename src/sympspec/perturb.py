@@ -28,6 +28,7 @@ from .densemat import (
     _require_square,
     _require_symmetric,
     _reuses_solves,
+    _spd_inverse,
     _spd_spectrum,
     _unscale,
     TOL_PD,
@@ -115,16 +116,21 @@ class PerturbationCase:
     m: np.ndarray
     e: np.ndarray
     epsilon: float
+    # The spectra of M and M + epsilon E that the positive-definiteness
+    # checks solved; the stability checkers factorize from them.
+    _spectra: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, e = _symmetric_pair(self.m, self.e)
         _require_positive_epsilon(self.epsilon)
-        e = _unit_direction(e)
-        _spd_spectrum(m, "M")
-        _spd_spectrum(m + self.epsilon * e, "M + epsilon E")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "e", _unit_direction(e))
         object.__setattr__(self, "epsilon", float(self.epsilon))
+        spectra = (
+            _spd_spectrum(m, "M"),
+            _spd_spectrum(self.perturbed(), "M + epsilon E"),
+        )
+        object.__setattr__(self, "_spectra", spectra)
 
     def perturbed(self) -> np.ndarray:
         return self.m + self.epsilon * self.e
@@ -161,6 +167,13 @@ def _unit_direction(e):
     return e / e_norm
 
 
+def _kappa_and_norm(a) -> tuple[float, float]:
+    # kappa(a) and ||a||_op of a positive definite a, both from the spectrum
+    # condition_number(a) reads: ||a||_op is lambda_max.
+    vals = _spd_spectrum(a).eigenvalues
+    return float(vals[-1] / vals[0]), float(vals[-1])
+
+
 @_reuses_solves
 def bound_spectrum(m, mp, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
     """Condition-number bound on the symplectic spectrum shift.
@@ -168,12 +181,19 @@ def bound_spectrum(m, mp, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
     ||diag(d,d) - diag(d',d')||  <=  sqrt(kappa(M) kappa(M')) ||M - M'||
     in any of the implemented unitarily invariant norms.
     """
-    a, b = _symmetric_pair(m, mp)
+    return _spectrum_bound(*_symmetric_pair(m, mp), kind)[0]
+
+
+def _spectrum_bound(a, b, kind):
+    # bound_spectrum's report on a symmetric pair, with ||a||_op and ||b||_op
+    # from the spectra its condition numbers read.
     d = symplectic_spectrum(a)
     dp = symplectic_spectrum(b)
     lhs = norm(np.diag(np.concatenate([d, d]) - np.concatenate([dp, dp])), kind)
-    rhs = math.sqrt(condition_number(a) * condition_number(b)) * norm(a - b, kind)
-    return BoundReport.from_sides(lhs, rhs, kind, True, "spectrum")
+    kappa_a, na = _kappa_and_norm(a)
+    kappa_b, nb = _kappa_and_norm(b)
+    rhs = math.sqrt(kappa_a * kappa_b) * norm(a - b, kind)
+    return BoundReport.from_sides(lhs, rhs, kind, True, "spectrum"), na, nb
 
 
 @_reuses_solves
@@ -184,9 +204,7 @@ def bound_bhatia_jain(m, mp) -> BoundReport:
     The report carries the condition-number bound's rhs in its details.
     """
     a, b = _symmetric_pair(m, mp)
-    spectrum = bound_spectrum(a, b, NormKind.OPERATOR)
-    na = norm(a, NormKind.OPERATOR)
-    nb = norm(b, NormKind.OPERATOR)
+    spectrum, na, nb = _spectrum_bound(a, b, NormKind.OPERATOR)
     rhs = (math.sqrt(na) + math.sqrt(nb)) * math.sqrt(norm(a - b, NormKind.OPERATOR))
     return BoundReport.from_sides(
         spectrum.lhs,
@@ -280,9 +298,11 @@ def _signed_spectral_gap(d: np.ndarray) -> float:
 
 def _factor_pair(case: PerturbationCase):
     # williamson's S and d for M and for M + eps E, without its residual
-    # solves, then M's smallest and largest eigenvalues from its M solve.
-    s, d, _, exp, vals = _williamson_core(case.m)
-    s_eps, d_eps, _, exp_eps, _ = _williamson_core(case.perturbed())
+    # solves and from the case's spectra, then M's smallest and largest
+    # eigenvalues.
+    spec, spec_eps = case._spectra
+    s, d, _, exp, vals = _williamson_core(case.m, spec)
+    s_eps, d_eps, _, exp_eps, _ = _williamson_core(case.perturbed(), spec_eps)
     lam = _unscale(vals, exp)
     return (s, _unscale(d, exp)), (s_eps, _unscale(d_eps, exp_eps)), float(lam[0]), float(lam[-1])
 
@@ -443,11 +463,20 @@ def check_inv_lemma(a, b, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
     ||A^-1 - B^-1|| <= ||A^-1|| ||B^-1|| ||A - B||.
     """
     a, b = _symmetric_pair(a, b)
-    ia = spd_inverse(a)
-    ib = spd_inverse(b)
+    ia, na = _inverse_and_norm(a)
+    ib, nb = _inverse_and_norm(b)
     lhs = norm(ia - ib, kind)
-    rhs = norm(ia, kind) * norm(ib, kind) * norm(a - b, kind)
+    if kind is not NormKind.OPERATOR:
+        na, nb = norm(ia, kind), norm(ib, kind)
+    rhs = na * nb * norm(a - b, kind)
     return BoundReport.from_sides(lhs, rhs, kind, True, "inv_lemma")
+
+
+def _inverse_and_norm(a) -> tuple[np.ndarray, float]:
+    # spd_inverse(a) and ||a^-1||_op = 2^-k / lambda_min(a / 2^k), read off
+    # the spectrum the inverse was built from.
+    inverse, vals, exp = _spd_inverse(a)
+    return inverse, float(_unscale(1.0 / vals[:1], -exp)[0])
 
 
 def check_woodbury_norm(m, e, epsilon: float) -> BoundReport:

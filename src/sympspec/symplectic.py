@@ -221,13 +221,18 @@ def _extract_mode_pairs(b: np.ndarray) -> tuple[list, list, list]:
     return xs, ys, ds
 
 
-def _williamson_core(m) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+def _williamson_core(
+    m, spec=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     # Every step of williamson up to S and d, without its two residual
     # solves: (S, d / 4^j, M / 4^j, 2j, eigenvalues of M / 4^j). Callers that
     # read only these skip those solves; each scales back with _unscale(x, 2j).
+    # A caller that has solved M already passes spec = _spd_spectrum(M); it
+    # stands in for the M solve, with the same bits, where j is 0.
     mat, n, exp = _scaled_even(m)
     # S is the same at M / 4^j.
-    spec = _spd_spectrum(mat)
+    if spec is None or exp != 0:
+        spec = _spd_spectrum(mat)
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     inv_root = (vecs / np.sqrt(vals)) @ vecs.T
     inv_root = (inv_root + inv_root.T) / 2.0

@@ -39,17 +39,17 @@ _KERNEL_RUNS = {
     "williamson": (5, lambda: williamson(_M)),
     "symplectic_spectrum": (2, lambda: symplectic_spectrum(_M)),
     "bound_spectrum": (6, lambda: bound_spectrum(_M, _MP, NormKind.OPERATOR)),
-    "bound_bhatia_jain": (8, lambda: bound_bhatia_jain(_M, _MP)),
-    "bound_S": (10, lambda: bound_S(PerturbationCase(_M, _E, _EPS))),
-    "bound_gram": (12, lambda: bound_gram(PerturbationCase(_M, _E, _EPS))),
+    "bound_bhatia_jain": (6, lambda: bound_bhatia_jain(_M, _MP)),
+    "bound_S": (8, lambda: bound_S(PerturbationCase(_M, _E, _EPS))),
+    "bound_gram": (10, lambda: bound_gram(PerturbationCase(_M, _E, _EPS))),
     "check_sqrt_lemma": (4, lambda: check_sqrt_lemma(_M, _MP)),
-    "check_inv_lemma": (6, lambda: check_inv_lemma(_M, _MP)),
+    "check_inv_lemma": (4, lambda: check_inv_lemma(_M, _MP)),
     "check_woodbury_norm": (3, lambda: check_woodbury_norm(_M, _E, _EPS)),
     "check_kappa_growth": (3, lambda: check_kappa_growth(_M, _E, _EPS)),
     "check_eigvec_bound": (3, lambda: check_eigvec_bound(_M, _E, _EPS)),
     "check_projection_bound": (4, lambda: check_projection_bound(_M, _MP, (0, 2), (2, 4))),
     "entanglement_entropy": (2, lambda: entanglement_entropy(_G)),
-    "entropy_difference_bound": (6, lambda: entropy_difference_bound(_G, _G2)),
+    "entropy_difference_bound": (5, lambda: entropy_difference_bound(_G, _G2)),
     "sweep": (21, lambda: sweep(_M, _E, [1e-4, 2e-4, 5e-4, 1e-3], "s_stability")),
 }
 

@@ -57,9 +57,9 @@ def _exact_gauge_align(ref_s, ref_d, other_s, other_d):
     return GaugeAlignment(angles=angles, aligned_S=aligned, distance=distance)
 
 
-def _public_core(m):
+def _public_core(m, spec=None):
     # _williamson_core's (S, d / 4^j, M / 4^j, 2j, eigenvalues of M / 4^j)
-    # from public williamson and sym_eig.
+    # from public williamson and sym_eig, whatever spectrum is passed.
     fac = williamson(m)
     return fac.S, fac.d, None, 0, sym_eig(m).eigenvalues
 

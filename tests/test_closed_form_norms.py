@@ -55,7 +55,9 @@ def test_closed_forms_match_solved_norms(i):
     for scale in _SCALES:
         m = _CORPUS[i] * scale
         vals = sym_eig(m).eigenvalues
-        assert _rel(float(vals[-1]), norm(m, NormKind.OPERATOR)) <= 1e-13
+        op_norm = norm(m, NormKind.OPERATOR)
+        assert _rel(float(vals[-1]), op_norm) <= 1e-13
+        assert _rel(perturb._kappa_and_norm(m)[1], op_norm) <= 1e-13
         inv_norm = norm(spd_inverse(m), NormKind.OPERATOR)
         assert _rel(1.0 / float(vals[0]), inv_norm) <= 1e-13
         assert _rel(perturb._inverse_and_norm(m)[1], inv_norm) <= 1e-13
@@ -92,7 +94,7 @@ def _assert_same(call):
     got, want = _sides(call), _reference(call)
     assert got[:2] == want[:2]
     if want[2] is not None:
-        assert _rel(got[2], want[2]) <= 1e-12
+        assert _rel(got[2], want[2]) <= 1e-13
 
 
 @pytest.mark.parametrize("i", range(len(_CORPUS)))
@@ -107,4 +109,9 @@ def test_checkers_keep_lhs_and_holds_of_solved_norms(i):
         _assert_same(lambda: bound_bhatia_jain(a, b))
         for kind in NormKind:
             _assert_same(lambda: check_inv_lemma(a, b, kind))
+        # The Frobenius and trace kinds still solve their norms.
+        ia, ib = spd_inverse(a), spd_inverse(b)
+        for kind in (NormKind.FROBENIUS, NormKind.TRACE):
+            solved = norm(ia, kind) * norm(ib, kind) * norm(a - b, kind)
+            assert check_inv_lemma(a, b, kind).rhs == solved
         _assert_same(lambda: entropy_difference_bound(cov * scale, cov2 * scale))

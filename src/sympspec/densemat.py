@@ -36,8 +36,8 @@ TOL_PD = 1e-12     # strict positivity gate
 JACOBI_OFF_TOL = 1e-14   # off-diagonal Frobenius target, relative to ||A||_F
 JACOBI_MAX_SWEEPS = 100
 
-# Spectra one call's memo keeps: the largest working set, one s_stability
-# sweep point, reuses 7 while making 8 new; a long sweep holds no more.
+# Spectra one call's memo keeps. The largest working set, measured on
+# 12-point sweeps of every SWEEPABLE row, is a gram row's 10 spectra.
 SOLVE_MEMO_CAPACITY = 16
 
 # No sum or difference of two floats at most this large overflows.
@@ -453,5 +453,10 @@ def identity_norm(n: int, kind: NormKind) -> float:
 
 def condition_number(a) -> float:
     """lambda_max / lambda_min of a symmetric positive definite matrix."""
+    return _kappa_and_norm(a)[0]
+
+
+def _kappa_and_norm(a) -> tuple[float, float]:
+    # kappa(a) and ||a||_op = lambda_max of a positive definite a, one solve.
     vals = _spd_spectrum(a).eigenvalues
-    return float(vals[-1] / vals[0])
+    return float(vals[-1] / vals[0]), float(vals[-1])

@@ -19,12 +19,13 @@ from .densemat import (
     as_matrix,
     norm,
     _as_real,
+    _kappa_and_norm,
     _require_square,
     _require_symmetric,
     _reuses_solves,
 )
 from .errors import BadIndices, InvalidCovariance, NonFinite, NotInterior
-from .perturb import BoundReport, _kappa_and_norm, _symmetric_pair
+from .perturb import BoundReport, _symmetric_pair
 from .symplectic import symplectic_spectrum
 
 HEISENBERG_TOL = 1e-10   # validity: min symplectic eigenvalue >= 1 - this

@@ -25,6 +25,7 @@ from .densemat import (
     singular_values,
     spd_inverse,
     sym_eig,
+    _kappa_and_norm,
     _require_square,
     _require_symmetric,
     _reuses_solves,
@@ -167,14 +168,6 @@ def _unit_direction(e):
     return e / e_norm
 
 
-def _kappa_and_norm(a) -> tuple[float, float]:
-    # kappa(a) and ||a||_op of a positive definite a, both from the spectrum
-    # condition_number(a) reads: ||a||_op is lambda_max.
-    vals = _spd_spectrum(a).eigenvalues
-    return float(vals[-1] / vals[0]), float(vals[-1])
-
-
-@_reuses_solves
 def bound_spectrum(m, mp, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
     """Condition-number bound on the symplectic spectrum shift.
 
@@ -184,19 +177,21 @@ def bound_spectrum(m, mp, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
     return _spectrum_bound(*_symmetric_pair(m, mp), kind)[0]
 
 
+@_reuses_solves
 def _spectrum_bound(a, b, kind):
-    # bound_spectrum's report on a symmetric pair, with ||a||_op and ||b||_op
-    # from the spectra its condition numbers read.
+    # bound_spectrum's report on a symmetric pair, ||a||_op and ||b||_op from
+    # the spectra its condition numbers read (symplectic_spectrum's first
+    # solves, repeated), and ||a - b||.
     d = symplectic_spectrum(a)
     dp = symplectic_spectrum(b)
     lhs = norm(np.diag(np.concatenate([d, d]) - np.concatenate([dp, dp])), kind)
     kappa_a, na = _kappa_and_norm(a)
     kappa_b, nb = _kappa_and_norm(b)
-    rhs = math.sqrt(kappa_a * kappa_b) * norm(a - b, kind)
-    return BoundReport.from_sides(lhs, rhs, kind, True, "spectrum"), na, nb
+    diff = norm(a - b, kind)
+    rhs = math.sqrt(kappa_a * kappa_b) * diff
+    return BoundReport.from_sides(lhs, rhs, kind, True, "spectrum"), na, nb, diff
 
 
-@_reuses_solves
 def bound_bhatia_jain(m, mp) -> BoundReport:
     """Square-root-type spectrum bound, for comparison with ``bound_spectrum``.
 
@@ -204,8 +199,8 @@ def bound_bhatia_jain(m, mp) -> BoundReport:
     The report carries the condition-number bound's rhs in its details.
     """
     a, b = _symmetric_pair(m, mp)
-    spectrum, na, nb = _spectrum_bound(a, b, NormKind.OPERATOR)
-    rhs = (math.sqrt(na) + math.sqrt(nb)) * math.sqrt(norm(a - b, NormKind.OPERATOR))
+    spectrum, na, nb, diff = _spectrum_bound(a, b, NormKind.OPERATOR)
+    rhs = (math.sqrt(na) + math.sqrt(nb)) * math.sqrt(diff)
     return BoundReport.from_sides(
         spectrum.lhs,
         rhs,

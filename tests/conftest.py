@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sympspec import densemat
-from sympspec.symplectic import williamson
+from sympspec.symplectic import standard_form, williamson
 
 
 @pytest.fixture(autouse=True)
@@ -72,6 +72,13 @@ def williamson_form(rng, d_values):
     s_inv = np.linalg.inv(s)
     m = s_inv.T @ np.diag(d_full) @ s_inv
     return (m + m.T) / 2.0
+
+
+def eigvals_oracle(m):
+    """Descending d of M as the positive eigenvalues of i sigma M, which are
+    +-d_j; numpy's LAPACK finds them without the Jacobi kernel."""
+    ev = np.linalg.eigvals(1j * standard_form(m.shape[0] // 2) @ m).real
+    return np.sort(ev[ev > 0.0])[::-1]
 
 
 def as_hex(obj):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    eigvals_oracle,
     random_orthogonal,
     random_spd,
     random_spd_generic,
@@ -100,6 +101,24 @@ def test_criterion_1_residuals_at_kappa_1e8(dim):
         fac = williamson(m)
         assert fac.residual_diag <= 1e-8 * norm(m, NormKind.OPERATOR)
         assert fac.residual_symp <= 1e-8
+
+
+@pytest.mark.parametrize("dim", [30, 40])
+def test_criterion_1_larger_mode_counts(dim):
+    # Criterion 1's promise past the corpus's 2n <= 20: two seeded matrices
+    # per condition number. Oracle 2 bounds d at these sizes 5x or more
+    # above the worst errors measured on them, 1.5e-10 for williamson and
+    # 1.2e-7 for symplectic_spectrum (README, Numerical notes).
+    rng = np.random.default_rng(3000 + dim)
+    for kappa in (1e2, 1e4, 1e6):
+        for _ in range(2):
+            m = random_spd(rng, dim, kappa, 10.0 ** rng.uniform(-1.0, 1.0))
+            fac = williamson(m)
+            assert fac.residual_diag <= 1e-8 * norm(m, NormKind.OPERATOR)
+            assert fac.residual_symp <= 1e-8
+            ref = eigvals_oracle(m)
+            assert np.max(np.abs(fac.d - ref) / ref) <= 1e-9
+            assert np.max(np.abs(symplectic_spectrum(m) - ref) / ref) <= 1e-6
 
 
 def test_criterion_2_spectrum_oracle(corpus):

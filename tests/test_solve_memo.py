@@ -8,10 +8,27 @@ import pytest
 
 from conftest import as_hex, random_spd, random_symmetric_unit, williamson_form
 from sympspec import cli, densemat
-from sympspec.densemat import NormKind, Spectrum, sym_eig, _reuses_solves
+from sympspec.densemat import (
+    NormKind,
+    Spectrum,
+    condition_number,
+    norm,
+    psd_sqrt,
+    singular_values,
+    spd_inverse,
+    sym_eig,
+    _reuses_solves,
+)
 from sympspec.errors import ConvergenceFailure, NotPositiveDefinite
-from sympspec.gaussian import entanglement_entropy, entropy_difference_bound
+from sympspec.gaussian import (
+    GaussianState,
+    entanglement_entropy,
+    entropy_difference_bound,
+    is_pure,
+    validate_covariance,
+)
 from sympspec.perturb import (
+    SWEEPABLE,
     PerturbationCase,
     bound_S,
     bound_bhatia_jain,
@@ -23,15 +40,19 @@ from sympspec.perturb import (
     check_projection_bound,
     check_sqrt_lemma,
     check_woodbury_norm,
+    degenerate_demo,
     sweep,
 )
-from sympspec.symplectic import symplectic_spectrum, williamson
+from sympspec.symplectic import gauge_align, is_symplectic, symplectic_spectrum, williamson
 
 
 _DATA = Path(__file__).parent / "data"
 _M, _MP, _E = (cli.load_matrix(_DATA / f"{name}.txt") for name in ("spd4", "spd4p", "e4"))
 _EPS = 1e-3
 _G, _G2 = np.diag([2.0, 1.5, 2.0, 1.5]), np.diag([2.0, 1.6, 2.0, 1.6])
+# Built here, so that only the runs of the calls that take them count.
+_FAC, _FAC_P = williamson(_M), williamson(_MP)
+_FRO, _TR = NormKind.FROBENIUS, NormKind.TRACE
 
 # Jacobi kernel runs each public call makes on the 4x4 test data: the cost
 # a change to the solve path has to keep, or to lower on purpose.
@@ -39,11 +60,18 @@ _KERNEL_RUNS = {
     "williamson": (5, lambda: williamson(_M)),
     "symplectic_spectrum": (2, lambda: symplectic_spectrum(_M)),
     "bound_spectrum": (6, lambda: bound_spectrum(_M, _MP, NormKind.OPERATOR)),
+    "bound_spectrum.frobenius": (4, lambda: bound_spectrum(_M, _MP, _FRO)),
+    "bound_spectrum.trace": (6, lambda: bound_spectrum(_M, _MP, _TR)),
     "bound_bhatia_jain": (6, lambda: bound_bhatia_jain(_M, _MP)),
     "bound_S": (8, lambda: bound_S(PerturbationCase(_M, _E, _EPS))),
     "bound_gram": (10, lambda: bound_gram(PerturbationCase(_M, _E, _EPS))),
     "check_sqrt_lemma": (4, lambda: check_sqrt_lemma(_M, _MP)),
+    "check_sqrt_lemma.frobenius": (3, lambda: check_sqrt_lemma(_M, _MP, _FRO)),
+    "check_sqrt_lemma.trace": (4, lambda: check_sqrt_lemma(_M, _MP, _TR)),
     "check_inv_lemma": (4, lambda: check_inv_lemma(_M, _MP)),
+    "check_inv_lemma.frobenius": (2, lambda: check_inv_lemma(_M, _MP, _FRO)),
+    # Two of these six solve the trace norms of A^-1 and B^-1 (ROADMAP).
+    "check_inv_lemma.trace": (6, lambda: check_inv_lemma(_M, _MP, _TR)),
     "check_woodbury_norm": (3, lambda: check_woodbury_norm(_M, _E, _EPS)),
     "check_kappa_growth": (3, lambda: check_kappa_growth(_M, _E, _EPS)),
     "check_eigvec_bound": (3, lambda: check_eigvec_bound(_M, _E, _EPS)),
@@ -51,6 +79,21 @@ _KERNEL_RUNS = {
     "entanglement_entropy": (2, lambda: entanglement_entropy(_G)),
     "entropy_difference_bound": (5, lambda: entropy_difference_bound(_G, _G2)),
     "sweep": (21, lambda: sweep(_M, _E, [1e-4, 2e-4, 5e-4, 1e-3], "s_stability")),
+    "norm.operator": (1, lambda: norm(_M)),
+    "norm.frobenius": (0, lambda: norm(_M, _FRO)),
+    "norm.trace": (1, lambda: norm(_M, _TR)),
+    "sym_eig": (1, lambda: sym_eig(_M)),
+    "psd_sqrt": (1, lambda: psd_sqrt(_M)),
+    "spd_inverse": (1, lambda: spd_inverse(_M)),
+    "singular_values": (1, lambda: singular_values(_M)),
+    "condition_number": (1, lambda: condition_number(_M)),
+    "is_symplectic": (1, lambda: is_symplectic(_FAC.S)),
+    "gauge_align": (1, lambda: gauge_align(_FAC, _FAC_P)),
+    "validate_covariance": (2, lambda: validate_covariance(_G)),
+    "is_pure": (2, lambda: is_pure(_G)),
+    "GaussianState.create": (2, lambda: GaussianState.create(_G)),
+    "PerturbationCase": (3, lambda: PerturbationCase(_M, _E, _EPS)),
+    "degenerate_demo": (11, lambda: degenerate_demo(_EPS)),
 }
 
 
@@ -153,6 +196,26 @@ def test_long_sweep_keeps_memo_within_capacity(kernel_runs):
     report = sweep(m, e, np.geomspace(1e-6, 1e-3, 200), "spectrum")
     assert len(report.grid) == 200
     assert max(kernel_runs) == densemat.SOLVE_MEMO_CAPACITY
+
+
+@pytest.mark.parametrize("bound", list(SWEEPABLE))
+def test_memo_capacity_keeps_every_hit(kernel_runs, monkeypatch, bound):
+    # 12-point sweeps at 2n = 4 and 8 in two norms: SOLVE_MEMO_CAPACITY
+    # spectra must hold each row's working set, which is 10 for gram.
+    m8 = random_spd(np.random.default_rng(511), 8, 50.0)
+    e8 = random_symmetric_unit(np.random.default_rng(512), 8)
+    grid = np.geomspace(1e-5, 1e-3, 12)
+
+    def runs():
+        del kernel_runs[:]
+        for m, e in ((_M, _E), (m8, e8)):
+            for kind in (NormKind.OPERATOR, NormKind.TRACE):
+                assert not sweep(m, e, grid, bound, kind).errors
+        return len(kernel_runs)
+
+    at_capacity = runs()
+    monkeypatch.setattr(densemat, "SOLVE_MEMO_CAPACITY", 10**6)
+    assert runs() == at_capacity
 
 
 def test_memo_scope_closes_when_the_call_raises():

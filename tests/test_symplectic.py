@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    eigvals_oracle,
     random_spd,
     random_spd_generic,
     random_symmetric_unit,
@@ -409,13 +410,6 @@ class TestGaugeAlign:
         assert resid <= 1e-8 * np.linalg.norm(m_eps, 2)
 
 
-def _eigvals_oracle(m):
-    # The eigenvalues of i sigma M are +-d_j; numpy's LAPACK finds them
-    # without the Jacobi kernel.
-    ev = np.linalg.eigvals(1j * standard_form(m.shape[0] // 2) @ m).real
-    return np.sort(ev[ev > 0.0])[::-1]
-
-
 @pytest.fixture(scope="module")
 def eigvals_oracle_cases():
     """60 seeded SPD matrices in criterion 1's style, with numpy's d."""
@@ -425,7 +419,7 @@ def eigvals_oracle_cases():
         dim = 2 + 2 * (i % 10)
         kappa = 10.0 ** rng.uniform(0.0, 6.0)
         m = random_spd(rng, dim, kappa, 10.0 ** rng.uniform(-1.0, 1.0))
-        ref = _eigvals_oracle(m)
+        ref = eigvals_oracle(m)
         assert ref.size == dim // 2
         cases.append((m, ref))
     return cases

@@ -425,19 +425,28 @@ def singular_values(a) -> np.ndarray:
 
 def norm(a, kind: NormKind = NormKind.OPERATOR) -> float:
     """Unitarily invariant norm of a square matrix."""
-    if kind is NormKind.OPERATOR:
-        s = singular_values(a)
-        return float(s[0]) if s.size else 0.0
-    # Sum at the scale where no square and no sum overflows, then unscale
-    # once; the scaled matrix's singular values need no rescale of their own.
+    return _norms(a, (kind,))[0]
+
+
+def _norms(a, kinds) -> list[float]:
+    # [norm(a, kind) for kind in kinds], from at most one singular-value
+    # solve. Each total is taken at the scale where no square and no sum
+    # overflows and unscaled once; the scaled matrix's singular values need
+    # no rescale of their own.
     m, exp = _rescaled(_require_square(as_matrix(a)))
-    if kind is NormKind.FROBENIUS:
-        total = np.sqrt((m * m).sum())
-    elif kind is NormKind.TRACE:
-        total = singular_values(m).sum()
-    else:
-        raise ValueError(f"unknown norm kind: {kind!r}")
-    return float(_unscale(total, exp))
+    s = None
+    out = []
+    for kind in kinds:
+        if kind is NormKind.FROBENIUS:
+            total = np.sqrt((m * m).sum())
+        elif kind is NormKind.OPERATOR or kind is NormKind.TRACE:
+            if s is None:
+                s = singular_values(m)
+            total = s.sum() if kind is NormKind.TRACE else (s[0] if s.size else 0.0)
+        else:
+            raise ValueError(f"unknown norm kind: {kind!r}")
+        out.append(float(_unscale(total, exp)))
+    return out
 
 
 def identity_norm(n: int, kind: NormKind) -> float:
@@ -456,7 +465,8 @@ def condition_number(a) -> float:
     return _kappa_and_norm(a)[0]
 
 
-def _kappa_and_norm(a) -> tuple[float, float]:
-    # kappa(a) and ||a||_op = lambda_max of a positive definite a, one solve.
-    vals = _spd_spectrum(a).eigenvalues
+def _kappa_and_norm(a, spec: Spectrum | None = None) -> tuple[float, float]:
+    # kappa(a) and ||a||_op = lambda_max of a positive definite a, read off
+    # spec, a spectrum of a already solved, or off one new solve.
+    vals = (_spd_spectrum(a) if spec is None else spec).eigenvalues
     return float(vals[-1] / vals[0]), float(vals[-1])

@@ -22,11 +22,10 @@ from .densemat import (
     _kappa_and_norm,
     _require_square,
     _require_symmetric,
-    _reuses_solves,
 )
 from .errors import BadIndices, InvalidCovariance, NonFinite, NotInterior
 from .perturb import BoundReport, _symmetric_pair
-from .symplectic import symplectic_spectrum
+from .symplectic import symplectic_spectrum, _symplectic_spectrum
 
 HEISENBERG_TOL = 1e-10   # validity: min symplectic eigenvalue >= 1 - this
 PURITY_TOL = 1e-8        # pure: every symplectic eigenvalue within this of 1
@@ -115,7 +114,11 @@ def entanglement_entropy(cov) -> EntropyReport:
     A symplectic eigenvalue of exactly 1 contributes exactly zero; eigenvalues
     within the validity tolerance below 1 are treated as 1.
     """
-    d = symplectic_spectrum(cov)
+    return _entropy(symplectic_spectrum(cov))
+
+
+def _entropy(d) -> EntropyReport:
+    # entanglement_entropy's report on the symplectic spectrum d.
     min_d = float(d[-1])
     if min_d < 1.0 - HEISENBERG_TOL:
         raise InvalidCovariance(
@@ -135,7 +138,6 @@ def entanglement_entropy(cov) -> EntropyReport:
     )
 
 
-@_reuses_solves
 def entropy_difference_bound(cov, cov2) -> BoundReport:
     """Trace-norm continuity bound on the entropy difference.
 
@@ -147,8 +149,10 @@ def entropy_difference_bound(cov, cov2) -> BoundReport:
     flags rather than asserts ``holds``.
     """
     a, b = _symmetric_pair(cov, cov2)
-    ha = entanglement_entropy(a)
-    hb = entanglement_entropy(b)
+    d, spec_a = _symplectic_spectrum(a)
+    ha = _entropy(d)
+    dp, spec_b = _symplectic_spectrum(b)
+    hb = _entropy(dp)
     for name, rep in (("first", ha), ("second", hb)):
         if rep.min_symplectic_eigenvalue < 1.0 + INTERIOR_TOL:
             raise NotInterior(
@@ -156,8 +160,8 @@ def entropy_difference_bound(cov, cov2) -> BoundReport:
                 f"{rep.min_symplectic_eigenvalue:.12g}, not interior"
             )
     lhs = abs(ha.entropy - hb.entropy)
-    kappa_a, norm_a = _kappa_and_norm(a)
-    kappa_b, _ = _kappa_and_norm(b)
+    kappa_a, norm_a = _kappa_and_norm(a, spec_a)
+    kappa_b, _ = _kappa_and_norm(b, spec_b)
     kappa_term = math.sqrt(kappa_a * kappa_b)
     # The max in the bound is ||g||: (||g^-1||^-1 - 1) / 2 never exceeds it.
     rhs = kappa_term * (1.0 + math.log(norm_a)) * norm(a - b, NormKind.TRACE)

@@ -26,6 +26,7 @@ from .densemat import (
     spd_inverse,
     sym_eig,
     _kappa_and_norm,
+    _norms,
     _require_square,
     _require_symmetric,
     _reuses_solves,
@@ -46,8 +47,8 @@ from .errors import (
 )
 from .symplectic import (
     standard_form,
-    symplectic_spectrum,
     _gauge_align,
+    _symplectic_spectrum,
     _williamson_core,
 )
 
@@ -177,16 +178,15 @@ def bound_spectrum(m, mp, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
     return _spectrum_bound(*_symmetric_pair(m, mp), kind)[0]
 
 
-@_reuses_solves
 def _spectrum_bound(a, b, kind):
     # bound_spectrum's report on a symmetric pair, ||a||_op and ||b||_op from
-    # the spectra its condition numbers read (symplectic_spectrum's first
-    # solves, repeated), and ||a - b||.
-    d = symplectic_spectrum(a)
-    dp = symplectic_spectrum(b)
+    # the spectra its condition numbers read (those _symplectic_spectrum
+    # hands over), and ||a - b||.
+    d, spec_a = _symplectic_spectrum(a)
+    dp, spec_b = _symplectic_spectrum(b)
     lhs = norm(np.diag(np.concatenate([d, d]) - np.concatenate([dp, dp])), kind)
-    kappa_a, na = _kappa_and_norm(a)
-    kappa_b, nb = _kappa_and_norm(b)
+    kappa_a, na = _kappa_and_norm(a, spec_a)
+    kappa_b, nb = _kappa_and_norm(b, spec_b)
     diff = norm(a - b, kind)
     rhs = math.sqrt(kappa_a * kappa_b) * diff
     return BoundReport.from_sides(lhs, rhs, kind, True, "spectrum"), na, nb, diff
@@ -565,7 +565,6 @@ def check_eigvec_bound(a, b, epsilon: float) -> BoundReport:
     )
 
 
-@_reuses_solves
 def check_projection_bound(a, b, s1_range, s2_range) -> BoundReport:
     """Spectral projection overlap bound for separated eigenvalue subsets.
 
@@ -592,9 +591,8 @@ def check_projection_bound(a, b, s1_range, s2_range) -> BoundReport:
     diff = mat_a - mat_b
     per_kind = {}
     worst = None
-    for kind in NormKind:
-        lhs_k = norm(overlap, kind)
-        rhs_k = math.pi / (2.0 * delta) * norm(diff, kind)
+    for kind, lhs_k, diff_k in zip(NormKind, _norms(overlap, NormKind), _norms(diff, NormKind)):
+        rhs_k = math.pi / (2.0 * delta) * diff_k
         per_kind[kind.value] = (lhs_k, rhs_k)
         if worst is None or rhs_k - lhs_k < worst[2] - worst[1]:
             worst = (kind, lhs_k, rhs_k)

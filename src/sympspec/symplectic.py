@@ -17,6 +17,7 @@ import numpy as np
 
 from .densemat import (
     NormKind,
+    Spectrum,
     as_matrix,
     norm,
     psd_sqrt,
@@ -115,20 +116,27 @@ def is_symplectic(s, tol: float = RESIDUAL_TOL) -> bool:
     return norm(resid, NormKind.OPERATOR) <= tol
 
 
-@_reuses_solves
 def symplectic_spectrum(m) -> np.ndarray:
     """Descending symplectic eigenvalues of a positive definite matrix.
 
     Computed as the singular values of M^{1/2} sigma M^{1/2}, which come in
     coincident pairs; each pair is collapsed to its mean.
     """
+    return _symplectic_spectrum(m)[0]
+
+
+@_reuses_solves
+def _symplectic_spectrum(m) -> tuple[np.ndarray, Spectrum | None]:
+    # symplectic_spectrum(m) and the spectrum of M that its positive-
+    # definiteness check solved, or None where that check solved M / 4^j
+    # (j != 0) instead. psd_sqrt solves the same matrix again.
     mat, n, exp = _scaled_even(m)
     # At the scale of M / 4^j no pair sum below overflows.
-    _spd_spectrum(mat)
+    spec = _spd_spectrum(mat)
     root = psd_sqrt(mat)
     sigma = standard_form(n)
     s = singular_values(root @ sigma @ root)
-    return _unscale((s[0::2] + s[1::2]) / 2.0, exp)
+    return _unscale((s[0::2] + s[1::2]) / 2.0, exp), None if exp else spec
 
 
 def _group_by_relative_gap(vals: np.ndarray, rel_tol: float) -> list[list[int]]:

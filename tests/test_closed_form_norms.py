@@ -63,10 +63,6 @@ def test_closed_forms_match_solved_norms(i):
         assert _rel(perturb._inverse_and_norm(m)[1], inv_norm) <= 1e-13
 
 
-def _kappa_and_solved_norm(a):
-    return condition_number(a), norm(a, NormKind.OPERATOR)
-
-
 def _inverse_and_solved_norm(a):
     inverse = spd_inverse(a)
     return inverse, norm(inverse, NormKind.OPERATOR)
@@ -83,18 +79,29 @@ def _sides(call):
 
 
 def _reference(call):
+    # The report's sides with every norm solved afresh, and how often the
+    # checker read kappa and ||M|| through the patched name.
+    reads = []
+
+    def kappa_and_solved_norm(a, spec=None):
+        # Solves a afresh; the spectrum a checker hands over goes unread.
+        reads.append(a)
+        return condition_number(a), norm(a, NormKind.OPERATOR)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(perturb, "_kappa_and_norm", _kappa_and_solved_norm)
-        mp.setattr(gaussian, "_kappa_and_norm", _kappa_and_solved_norm)
+        mp.setattr(perturb, "_kappa_and_norm", kappa_and_solved_norm)
+        mp.setattr(gaussian, "_kappa_and_norm", kappa_and_solved_norm)
         mp.setattr(perturb, "_inverse_and_norm", _inverse_and_solved_norm)
-        return _sides(call)
+        return _sides(call), len(reads)
 
 
-def _assert_same(call):
-    got, want = _sides(call), _reference(call)
+def _assert_same(call, kappa_reads=0):
+    got, (want, reads) = _sides(call), _reference(call)
     assert got[:2] == want[:2]
     if want[2] is not None:
         assert _rel(got[2], want[2]) <= 1e-13
+        # A kappa read past the patched name would be compared with itself.
+        assert reads == kappa_reads
 
 
 @pytest.mark.parametrize("i", range(len(_CORPUS)))
@@ -106,7 +113,7 @@ def test_checkers_keep_lhs_and_holds_of_solved_norms(i):
     cov, cov2 = m * to_cov, mp * to_cov
     for scale in _SCALES:
         a, b = m * scale, mp * scale
-        _assert_same(lambda: bound_bhatia_jain(a, b))
+        _assert_same(lambda: bound_bhatia_jain(a, b), kappa_reads=2)
         for kind in NormKind:
             _assert_same(lambda: check_inv_lemma(a, b, kind))
         # The Frobenius and trace kinds still solve their norms.
@@ -114,4 +121,4 @@ def test_checkers_keep_lhs_and_holds_of_solved_norms(i):
         for kind in (NormKind.FROBENIUS, NormKind.TRACE):
             solved = norm(ia, kind) * norm(ib, kind) * norm(a - b, kind)
             assert check_inv_lemma(a, b, kind).rhs == solved
-        _assert_same(lambda: entropy_difference_bound(cov * scale, cov2 * scale))
+        _assert_same(lambda: entropy_difference_bound(cov * scale, cov2 * scale), kappa_reads=2)

@@ -54,52 +54,72 @@ _G, _G2 = np.diag([2.0, 1.5, 2.0, 1.5]), np.diag([2.0, 1.6, 2.0, 1.6])
 _FAC, _FAC_P = williamson(_M), williamson(_MP)
 _FRO, _TR = NormKind.FROBENIUS, NormKind.TRACE
 
-# Jacobi kernel runs each public call makes on the 4x4 test data: the cost
-# a change to the solve path has to keep, or to lower on purpose.
+_GRID = [1e-4, 2e-4, 5e-4, 1e-3]
+
+# Jacobi kernel runs each public call makes on the 4x4 test data, with the
+# memo and with SOLVE_MEMO_CAPACITY = 0: the cost a change to the solve path
+# has to keep, or to lower on purpose. The second count is what the calls
+# have to meet once the memo is gone. "sweep" is the s_stability row.
 _KERNEL_RUNS = {
-    "williamson": (5, lambda: williamson(_M)),
-    "symplectic_spectrum": (2, lambda: symplectic_spectrum(_M)),
-    "bound_spectrum": (6, lambda: bound_spectrum(_M, _MP, NormKind.OPERATOR)),
-    "bound_spectrum.frobenius": (4, lambda: bound_spectrum(_M, _MP, _FRO)),
-    "bound_spectrum.trace": (6, lambda: bound_spectrum(_M, _MP, _TR)),
-    "bound_bhatia_jain": (6, lambda: bound_bhatia_jain(_M, _MP)),
-    "bound_S": (8, lambda: bound_S(PerturbationCase(_M, _E, _EPS))),
-    "bound_gram": (10, lambda: bound_gram(PerturbationCase(_M, _E, _EPS))),
-    "check_sqrt_lemma": (4, lambda: check_sqrt_lemma(_M, _MP)),
-    "check_sqrt_lemma.frobenius": (3, lambda: check_sqrt_lemma(_M, _MP, _FRO)),
-    "check_sqrt_lemma.trace": (4, lambda: check_sqrt_lemma(_M, _MP, _TR)),
-    "check_inv_lemma": (4, lambda: check_inv_lemma(_M, _MP)),
-    "check_inv_lemma.frobenius": (2, lambda: check_inv_lemma(_M, _MP, _FRO)),
+    "williamson": (5, 5, lambda: williamson(_M)),
+    "symplectic_spectrum": (2, 3, lambda: symplectic_spectrum(_M)),
+    "bound_spectrum": (6, 8, lambda: bound_spectrum(_M, _MP, NormKind.OPERATOR)),
+    "bound_spectrum.frobenius": (4, 6, lambda: bound_spectrum(_M, _MP, _FRO)),
+    "bound_spectrum.trace": (6, 8, lambda: bound_spectrum(_M, _MP, _TR)),
+    "bound_bhatia_jain": (6, 8, lambda: bound_bhatia_jain(_M, _MP)),
+    "bound_S": (8, 8, lambda: bound_S(PerturbationCase(_M, _E, _EPS))),
+    "bound_gram": (10, 10, lambda: bound_gram(PerturbationCase(_M, _E, _EPS))),
+    "check_sqrt_lemma": (4, 4, lambda: check_sqrt_lemma(_M, _MP)),
+    "check_sqrt_lemma.frobenius": (3, 3, lambda: check_sqrt_lemma(_M, _MP, _FRO)),
+    "check_sqrt_lemma.trace": (4, 4, lambda: check_sqrt_lemma(_M, _MP, _TR)),
+    "check_inv_lemma": (4, 4, lambda: check_inv_lemma(_M, _MP)),
+    "check_inv_lemma.frobenius": (2, 2, lambda: check_inv_lemma(_M, _MP, _FRO)),
     # Two of these six solve the trace norms of A^-1 and B^-1 (ROADMAP).
-    "check_inv_lemma.trace": (6, lambda: check_inv_lemma(_M, _MP, _TR)),
-    "check_woodbury_norm": (3, lambda: check_woodbury_norm(_M, _E, _EPS)),
-    "check_kappa_growth": (3, lambda: check_kappa_growth(_M, _E, _EPS)),
-    "check_eigvec_bound": (3, lambda: check_eigvec_bound(_M, _E, _EPS)),
-    "check_projection_bound": (4, lambda: check_projection_bound(_M, _MP, (0, 2), (2, 4))),
-    "entanglement_entropy": (2, lambda: entanglement_entropy(_G)),
-    "entropy_difference_bound": (5, lambda: entropy_difference_bound(_G, _G2)),
-    "sweep": (21, lambda: sweep(_M, _E, [1e-4, 2e-4, 5e-4, 1e-3], "s_stability")),
-    "norm.operator": (1, lambda: norm(_M)),
-    "norm.frobenius": (0, lambda: norm(_M, _FRO)),
-    "norm.trace": (1, lambda: norm(_M, _TR)),
-    "sym_eig": (1, lambda: sym_eig(_M)),
-    "psd_sqrt": (1, lambda: psd_sqrt(_M)),
-    "spd_inverse": (1, lambda: spd_inverse(_M)),
-    "singular_values": (1, lambda: singular_values(_M)),
-    "condition_number": (1, lambda: condition_number(_M)),
-    "is_symplectic": (1, lambda: is_symplectic(_FAC.S)),
-    "gauge_align": (1, lambda: gauge_align(_FAC, _FAC_P)),
-    "validate_covariance": (2, lambda: validate_covariance(_G)),
-    "is_pure": (2, lambda: is_pure(_G)),
-    "GaussianState.create": (2, lambda: GaussianState.create(_G)),
-    "PerturbationCase": (3, lambda: PerturbationCase(_M, _E, _EPS)),
-    "degenerate_demo": (11, lambda: degenerate_demo(_EPS)),
+    "check_inv_lemma.trace": (6, 6, lambda: check_inv_lemma(_M, _MP, _TR)),
+    "check_woodbury_norm": (3, 3, lambda: check_woodbury_norm(_M, _E, _EPS)),
+    "check_kappa_growth": (3, 3, lambda: check_kappa_growth(_M, _E, _EPS)),
+    "check_eigvec_bound": (3, 3, lambda: check_eigvec_bound(_M, _E, _EPS)),
+    "check_projection_bound": (4, 4, lambda: check_projection_bound(_M, _MP, (0, 2), (2, 4))),
+    "entanglement_entropy": (2, 3, lambda: entanglement_entropy(_G)),
+    "entropy_difference_bound": (5, 7, lambda: entropy_difference_bound(_G, _G2)),
+    "sweep": (21, 33, lambda: sweep(_M, _E, _GRID, "s_stability")),
+    "sweep.spectrum": (19, 33, lambda: sweep(_M, _E, _GRID, "spectrum")),
+    "sweep.bhatia_jain": (19, 33, lambda: sweep(_M, _E, _GRID, "bhatia_jain")),
+    "sweep.gram": (26, 41, lambda: sweep(_M, _E, _GRID, "gram")),
+    "sweep.sqrt_lemma": (14, 17, lambda: sweep(_M, _E, _GRID, "sqrt_lemma")),
+    "sweep.inv_lemma": (14, 17, lambda: sweep(_M, _E, _GRID, "inv_lemma")),
+    "sweep.woodbury": (7, 13, lambda: sweep(_M, _E, _GRID, "woodbury")),
+    "sweep.kappa_growth": (7, 13, lambda: sweep(_M, _E, _GRID, "kappa_growth")),
+    "sweep.eigvec": (7, 13, lambda: sweep(_M, _E, _GRID, "eigvec")),
+    "norm.operator": (1, 1, lambda: norm(_M)),
+    "norm.frobenius": (0, 0, lambda: norm(_M, _FRO)),
+    "norm.trace": (1, 1, lambda: norm(_M, _TR)),
+    "sym_eig": (1, 1, lambda: sym_eig(_M)),
+    "psd_sqrt": (1, 1, lambda: psd_sqrt(_M)),
+    "spd_inverse": (1, 1, lambda: spd_inverse(_M)),
+    "singular_values": (1, 1, lambda: singular_values(_M)),
+    "condition_number": (1, 1, lambda: condition_number(_M)),
+    "is_symplectic": (1, 1, lambda: is_symplectic(_FAC.S)),
+    "gauge_align": (1, 1, lambda: gauge_align(_FAC, _FAC_P)),
+    "validate_covariance": (2, 3, lambda: validate_covariance(_G)),
+    "is_pure": (2, 3, lambda: is_pure(_G)),
+    "GaussianState.create": (2, 3, lambda: GaussianState.create(_G)),
+    "PerturbationCase": (3, 3, lambda: PerturbationCase(_M, _E, _EPS)),
+    "degenerate_demo": (11, 11, lambda: degenerate_demo(_EPS)),
 }
 
 
 @pytest.mark.parametrize("name", list(_KERNEL_RUNS))
 def test_kernel_runs_per_public_call(kernel_runs, name):
-    expected, call = _KERNEL_RUNS[name]
+    expected, _, call = _KERNEL_RUNS[name]
+    call()
+    assert len(kernel_runs) == expected
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_RUNS))
+def test_kernel_runs_without_the_memo(kernel_runs, monkeypatch, name):
+    _, expected, call = _KERNEL_RUNS[name]
+    monkeypatch.setattr(densemat, "SOLVE_MEMO_CAPACITY", 0)
     call()
     assert len(kernel_runs) == expected
 

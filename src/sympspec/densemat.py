@@ -150,11 +150,20 @@ def _jacobi_kernel(a, off_tol, max_sweeps):
     # and m.T).
     # The loop kernel's column update then equals its row update outside
     # rows p and q, so rotating rows p and q of [a | v^T] updates a's rows
-    # and v's columns at once. The closed forms for (p, q), (p, p) and
-    # (q, q) are stored into the new rows, which are then copied into a's
-    # columns: the column-p copy sets (q, p) to the 0.0 at (p, q).
-    # Neither copy touches another row's diagonal entry, so only the closed
-    # forms change the diagonal, and `dg` keeps it as Python floats too.
+    # and v's columns at once. The diagonal lives in `dg`, as Python floats
+    # set to the loop kernel's closed forms, and reaches w only on return.
+    # After each rotation row q is copied into column q, which later
+    # rotations of this pass read in their own rows, and then (p, q) is set
+    # to the closed form 0.0; row p is copied into column p once, when the
+    # pass over row p ends.
+    # So mid-pass only the diagonal and the entries (q, p) below it are
+    # stale. A rotation of rows p and q reads them only into (p, p),
+    # (q, q), (p, q) and (q, p): the diagonal is rewritten from dg on
+    # return, (p, q) is zeroed and (q, p) is refreshed when the pass ends.
+    # Every other read, the skip test and the off-norms included, sees
+    # current entries. A stale diagonal entry stays finite: each rotation
+    # adds to it at most the magnitude of one current entry, (q, p) of
+    # row q or (p, q) of row p, since |c| and |s| are at most 1.
     # Rows rotate in place through views bound once per call: with the
     # scratch rows t1 = s*w_q and t2 = s*w_p, w_p*c - t1 is c*w_p - s*w_q
     # and w_q*c + t2 is s*w_p + c*w_q, as IEEE products and sums commute.
@@ -199,21 +208,21 @@ def _jacobi_kernel(a, off_tol, max_sweeps):
                 c0[()] = c
                 s0[()] = s
                 wq = rows[q]
-                aq = arows[q]
                 mul(wq, s0, t1)
                 mul(wp, s0, t2)
                 wp *= c0
                 wp -= t1
                 wq *= c0
                 wq += t2
-                dg[p] = ap[p] = app - t * apq
-                dg[q] = aq[q] = aqq + t * apq
+                dg[p] = app - t * apq
+                dg[q] = aqq + t * apq
+                acols[q][...] = arows[q]
                 ap[q] = 0.0
-                acols[p][...] = ap
-                acols[q][...] = aq
+            acols[p][...] = ap
     else:
         converged = bool(math.sqrt(_off_norm2_in_order(wa, upper)) <= off_tol)
         sweeps = max_sweeps
+    wa[r, r] = dg
     return w, converged, sweeps
 
 

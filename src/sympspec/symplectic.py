@@ -166,6 +166,15 @@ def _extract_mode_pairs(b: np.ndarray) -> tuple[list, list, list]:
     taken in index order; chosen mode planes are projected out of
     subsequent seeds. This keeps the result deterministic and well-defined
     for degenerate symplectic spectra.
+
+    A group's scan ends early once no later seed can be taken. After each
+    accepted mode, rest = basis - W (W^T basis), with W the chosen vectors.
+    A later seed's projected vector is rest times a row of the orthonormal
+    basis, and such a row has norm at most 1, so its norm is at most
+    ||rest||_F. Once ||rest||_F <= SEED_MIN_NORM / 2, every later seed would
+    be rejected: the halved bound leaves a margin far above the rounding of
+    either product. The scan stops with the same modes, defects and
+    exceptions as a full one.
     """
     dim = b.shape[0]
     h = np.zeros((2 * dim, 2 * dim))
@@ -222,6 +231,9 @@ def _extract_mode_pairs(b: np.ndarray) -> tuple[list, list, list]:
             jw = np.concatenate([-w[dim:], w[:dim]])
             chosen_w = np.column_stack([chosen_w, w, jw])
             chosen_xy = np.column_stack([chosen_xy, x, y])
+            rest = basis - chosen_w @ (chosen_w.T @ basis)
+            if np.linalg.norm(rest) <= SEED_MIN_NORM / 2.0:
+                break
     if pair_defect > PAIR_TOL:
         raise PairingFailure(
             f"pair consistency defect {pair_defect:.3e} exceeds {PAIR_TOL:.1e}"

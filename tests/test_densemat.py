@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_orthogonal, random_spd, random_spd_generic
+from conftest import random_orthogonal, random_spd, random_spd_generic, williamson_form
 from sympspec.densemat import (
     JACOBI_MAX_SWEEPS,
     JACOBI_OFF_TOL,
@@ -26,6 +26,7 @@ from sympspec.errors import (
     NotSquare,
     NotSymmetric,
 )
+from sympspec.symplectic import standard_form
 
 TRACE_FREE_E = np.array([[2.0, -5.0], [-5.0, -2.0]])
 
@@ -345,13 +346,11 @@ def _jacobi_cases():
 
     q = random_orthogonal(rng, 6)
     repeated = (q * np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0])) @ q.T
-    # The doubled embedding [[0, -B], [B, 0]] of an antisymmetric B, as
-    # williamson solves it: its exact zero blocks make many pairs skip, and
-    # its eigenvalues come in +-pairs, each twice.
+    # The doubled embedding of an antisymmetric B, as williamson solves it:
+    # its exact zero blocks make many pairs skip, and its eigenvalues come in
+    # +-pairs, each twice.
     b = rng.standard_normal((6, 6))
-    b = b - b.T
-    zero = np.zeros((6, 6))
-    doubled = np.block([[zero, -b], [b, zero]])
+    doubled = _doubled(b - b.T)
     cases = [(sym(6), JACOBI_MAX_SWEEPS) for _ in range(5)]
     cases += [(sym(dim), JACOBI_MAX_SWEEPS) for dim in (1, 2, 3, 5, 20, 40, 80)]
     cases += [
@@ -365,7 +364,37 @@ def _jacobi_cases():
         (sym(20), 1),
         (doubled, 2),
     ]
+    # An exactly zero row and column, which no rotation touches.
+    hole = sym(6)
+    hole[2, :] = 0.0
+    hole[:, 2] = 0.0
+    b = rng.standard_normal((20, 20))
+    cases += [
+        # the kernel of a degenerate symplectic spectrum, as williamson
+        # builds it: whole passes over a row rotate nothing
+        (_doubled(_antisymmetric_kernel(williamson_form(rng, [2.0, 2.0, 1.0]))), JACOBI_MAX_SWEEPS),
+        (hole, JACOBI_MAX_SWEEPS),
+        (np.array([[-3.5]]), JACOBI_MAX_SWEEPS),
+        # cut after one sweep: the unconverged exit must write the diagonal too
+        (_doubled(b - b.T), 1),
+    ]
     return cases
+
+
+def _doubled(b):
+    # The doubled embedding [[0, -B], [B, 0]]: exactly symmetric when B is
+    # exactly antisymmetric.
+    zero = np.zeros_like(b)
+    return np.block([[zero, -b], [b, zero]])
+
+
+def _antisymmetric_kernel(m):
+    # B = M^-1/2 sigma M^-1/2, exactly antisymmetric, as williamson builds it.
+    vals, vecs = np.linalg.eigh(m)
+    inv_root = (vecs / np.sqrt(vals)) @ vecs.T
+    inv_root = (inv_root + inv_root.T) / 2.0
+    b = inv_root @ standard_form(m.shape[0] // 2) @ inv_root
+    return (b - b.T) / 2.0
 
 
 def test_jacobi_kernel_matches_loop_bitwise():
@@ -387,7 +416,7 @@ def test_jacobi_kernel_matches_loop_bitwise():
         assert w[:, dim:].T.tobytes() == v_ref.tobytes()
         # the kernel works in its own stack, never in its input
         assert a_in.tobytes() == a.tobytes()
-    assert unconverged == 2
+    assert unconverged == 3
 
 
 def _off_norm2_loop(a):

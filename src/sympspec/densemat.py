@@ -382,14 +382,18 @@ def _spd_spectrum(a, name: str = "") -> Spectrum:
     # sym_eig(a), raising NotPositiveDefinite unless the smallest eigenvalue
     # clears TOL_PD relative to the largest magnitude; an empty matrix fails.
     spec = sym_eig(a)
-    vals = spec.eigenvalues
+    _require_positive_definite(spec.eigenvalues, name)
+    return spec
+
+
+def _require_positive_definite(vals, name: str = "") -> None:
+    # _spd_spectrum's gate on ascending eigenvalues.
     if vals.size == 0 or vals[0] <= TOL_PD * float(np.abs(vals).max()):
         smallest = vals[0] if vals.size else float("nan")
         prefix = f"{name}: " if name else ""
         raise NotPositiveDefinite(
             f"{prefix}smallest eigenvalue {smallest:.6e} is not positive"
         )
-    return spec
 
 
 def psd_sqrt(a) -> np.ndarray:
@@ -471,11 +475,15 @@ def identity_norm(n: int, kind: NormKind) -> float:
 
 def condition_number(a) -> float:
     """lambda_max / lambda_min of a symmetric positive definite matrix."""
-    return _kappa_and_norm(a)[0]
+    return _kappa_and_norm(sym_eig(a), 0)[0]
 
 
-def _kappa_and_norm(a, spec: Spectrum | None = None) -> tuple[float, float]:
-    # kappa(a) and ||a||_op = lambda_max of a positive definite a, read off
-    # spec, a spectrum of a already solved, or off one new solve.
-    vals = (_spd_spectrum(a) if spec is None else spec).eigenvalues
+def _kappa_and_norm(spec: Spectrum, exp: int) -> tuple[float, float]:
+    # kappa(a) and ||a||_op = lambda_max of the positive definite a, read
+    # without a solve off spec, the spectrum of a / 2^exp. Jacobi commutes
+    # with the power of two, so these are the bits of a solve of a itself,
+    # with its error types: NonFinite where lambda_max passes the largest
+    # float, NotPositiveDefinite where lambda_min underflows to 0.
+    vals = _unscale(spec.eigenvalues, exp)
+    _require_positive_definite(vals)
     return float(vals[-1] / vals[0]), float(vals[-1])

@@ -149,9 +149,9 @@ def entropy_difference_bound(cov, cov2) -> BoundReport:
     flags rather than asserts ``holds``.
     """
     a, b = _symmetric_pair(cov, cov2)
-    d, spec_a = _symplectic_spectrum(a)
+    d, spec_a, exp_a = _symplectic_spectrum(a)
     ha = _entropy(d)
-    dp, spec_b = _symplectic_spectrum(b)
+    dp, spec_b, exp_b = _symplectic_spectrum(b)
     hb = _entropy(dp)
     for name, rep in (("first", ha), ("second", hb)):
         if rep.min_symplectic_eigenvalue < 1.0 + INTERIOR_TOL:
@@ -160,8 +160,8 @@ def entropy_difference_bound(cov, cov2) -> BoundReport:
                 f"{rep.min_symplectic_eigenvalue:.12g}, not interior"
             )
     lhs = abs(ha.entropy - hb.entropy)
-    kappa_a, norm_a = _kappa_and_norm(a, spec_a)
-    kappa_b, _ = _kappa_and_norm(b, spec_b)
+    kappa_a, norm_a = _kappa_and_norm(spec_a, exp_a)
+    kappa_b, _ = _kappa_and_norm(spec_b, exp_b)
     kappa_term = math.sqrt(kappa_a * kappa_b)
     # The max in the bound is ||g||: (||g^-1||^-1 - 1) / 2 never exceeds it.
     rhs = kappa_term * (1.0 + math.log(norm_a)) * norm(a - b, NormKind.TRACE)

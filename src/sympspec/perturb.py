@@ -39,6 +39,7 @@ from .errors import (
     BadIndices,
     DegenerateSpectrum,
     DimensionMismatch,
+    NonFinite,
     NotInvertible,
     OutOfValidityRange,
     PreconditionViolated,
@@ -135,7 +136,7 @@ class PerturbationCase:
         object.__setattr__(self, "_spectra", spectra)
 
     def perturbed(self) -> np.ndarray:
-        return self.m + self.epsilon * self.e
+        return _perturbed(self.m, self.e, self.epsilon)
 
 
 def _symmetric_pair(m, mp):
@@ -145,6 +146,22 @@ def _symmetric_pair(m, mp):
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
     return a, b
+
+
+def _finite_sum(a, factor: float, b, what: str) -> np.ndarray:
+    # a + factor * b, raising NonFinite where an entry passes the largest
+    # float, as is_symplectic does for its product, instead of warning and
+    # returning inf.
+    with np.errstate(over="ignore"):
+        total = a + factor * b
+    if not np.isfinite(total).all():
+        raise NonFinite(f"{what} has an entry past the largest float")
+    return total
+
+
+def _perturbed(m, e, epsilon: float) -> np.ndarray:
+    # M + epsilon E, for PerturbationCase, the checkers that move M and sweep.
+    return _finite_sum(m, epsilon, e, "M + epsilon E")
 
 
 def _require_finite(name: str, value) -> None:
@@ -182,11 +199,11 @@ def _spectrum_bound(a, b, kind):
     # bound_spectrum's report on a symmetric pair, ||a||_op and ||b||_op from
     # the spectra its condition numbers read (those _symplectic_spectrum
     # hands over), and ||a - b||.
-    d, spec_a = _symplectic_spectrum(a)
-    dp, spec_b = _symplectic_spectrum(b)
+    d, spec_a, exp_a = _symplectic_spectrum(a)
+    dp, spec_b, exp_b = _symplectic_spectrum(b)
     lhs = norm(np.diag(np.concatenate([d, d]) - np.concatenate([dp, dp])), kind)
-    kappa_a, na = _kappa_and_norm(a, spec_a)
-    kappa_b, nb = _kappa_and_norm(b, spec_b)
+    kappa_a, na = _kappa_and_norm(spec_a, exp_a)
+    kappa_b, nb = _kappa_and_norm(spec_b, exp_b)
     diff = norm(a - b, kind)
     rhs = math.sqrt(kappa_a * kappa_b) * diff
     return BoundReport.from_sides(lhs, rhs, kind, True, "spectrum"), na, nb, diff
@@ -463,7 +480,7 @@ def check_inv_lemma(a, b, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
     lhs = norm(ia - ib, kind)
     if kind is not NormKind.OPERATOR:
         na, nb = norm(ia, kind), norm(ib, kind)
-    rhs = na * nb * norm(a - b, kind)
+    rhs = na * nb * norm(_finite_sum(a, -1.0, b, "A - B"), kind)
     return BoundReport.from_sides(lhs, rhs, kind, True, "inv_lemma")
 
 
@@ -494,7 +511,7 @@ def check_woodbury_norm(m, e, epsilon: float) -> BoundReport:
         raise PreconditionViolated(
             f"||M^-1|| = {inv_norm:.6e} exceeds 1/(2 eps) = {1.0 / (2.0 * epsilon):.6e}"
         )
-    s_pert = singular_values(mat + epsilon * pert)
+    s_pert = singular_values(_perturbed(mat, pert, epsilon))
     if s_pert[-1] <= TOL_PD * s_pert[0]:
         raise NotInvertible("perturbed matrix is numerically singular")
     lhs = 1.0 / float(s_pert[-1])
@@ -518,7 +535,7 @@ def check_kappa_growth(m, e, epsilon: float) -> BoundReport:
             f"||M^-1|| = {1.0 / lam_min:.6e} exceeds 1/(2 eps)"
         )
     # eps < ||M|| follows: the gate above leaves eps <= lam_min / 2 < lam_max.
-    lhs = condition_number(mat + epsilon * pert)
+    lhs = condition_number(_perturbed(mat, pert, epsilon))
     rhs = 4.0 * lam_max / lam_min
     return BoundReport.from_sides(lhs, rhs, NormKind.OPERATOR, True, "kappa_growth")
 
@@ -545,7 +562,7 @@ def check_eigvec_bound(a, b, epsilon: float) -> BoundReport:
     gap = float(np.min(np.diff(spec.eigenvalues))) if n > 1 else math.inf
     if not gap > 1e-12 * scale:
         raise DegenerateSpectrum(f"eigenvalue gap {gap:.3e} is negligible")
-    spec_eps = sym_eig(mat + epsilon * pert)
+    spec_eps = sym_eig(_perturbed(mat, pert, epsilon))
     shifts = np.empty(n)
     for i in range(n):
         v = spec.eigenvectors[:, i]
@@ -665,7 +682,7 @@ def sweep(m, e, eps_grid, bound: str, kind: NormKind = NormKind.OPERATOR) -> Swe
     failures = []
     for eps in grid:
         try:
-            report = call(mat, pert, eps) if moves else call(mat, mat + eps * pert, kind)
+            report = call(mat, pert, eps) if moves else call(mat, _perturbed(mat, pert, eps), kind)
             points.append((eps, report))
         except SympspecError as exc:  # recorded, not fatal; anything else is a bug
             failures.append((eps, f"{type(exc).__name__}: {exc}"))

@@ -126,17 +126,18 @@ def symplectic_spectrum(m) -> np.ndarray:
 
 
 @_reuses_solves
-def _symplectic_spectrum(m) -> tuple[np.ndarray, Spectrum | None]:
-    # symplectic_spectrum(m) and the spectrum of M that its positive-
-    # definiteness check solved, or None where that check solved M / 4^j
-    # (j != 0) instead. psd_sqrt solves the same matrix again.
+def _symplectic_spectrum(m) -> tuple[np.ndarray, Spectrum, int]:
+    # symplectic_spectrum(m), the spectrum of M / 4^j that its positive-
+    # definiteness check solved, and 2j; densemat._kappa_and_norm reads
+    # kappa(M) and ||M||_op off the last two. psd_sqrt solves the same
+    # matrix again.
     mat, n, exp = _scaled_even(m)
     # At the scale of M / 4^j no pair sum below overflows.
     spec = _spd_spectrum(mat)
     root = psd_sqrt(mat)
     sigma = standard_form(n)
     s = singular_values(root @ sigma @ root)
-    return _unscale((s[0::2] + s[1::2]) / 2.0, exp), None if exp else spec
+    return _unscale((s[0::2] + s[1::2]) / 2.0, exp), spec, exp
 
 
 def _group_by_relative_gap(vals: np.ndarray, rel_tol: float) -> list[list[int]]:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from sympspec import cli, densemat, gaussian, perturb, symplectic
 from sympspec.densemat import NormKind
-from sympspec.errors import SympspecError
+from sympspec.errors import NonFinite, SympspecError
 
 CONTRACT = settings(
     derandomize=True,
@@ -171,6 +171,36 @@ def test_sweep_returns_or_raises_typed(bound, data):
     m, e = data.draw(pairs())
     with contextlib.suppress(SympspecError):
         perturb.sweep(m, e, _grid(data.draw), bound, data.draw(KINDS))
+
+
+# Inputs whose M + eps E, or A - B, passes the largest float although every
+# entry is finite. Each was an overflow warning before the checkers formed
+# these sums in one place.
+_H = 1.7e308
+_I2 = np.eye(2)
+_OPPOSED = (np.array([[_H, 0.9 * _H], [0.9 * _H, _H]]), np.array([[_H, -0.9 * _H], [-0.9 * _H, _H]]))
+OVERFLOWING_SUMS = {
+    "check_woodbury_norm": lambda: perturb.check_woodbury_norm(_H * _I2, _I2, 5e307),
+    "check_kappa_growth": lambda: perturb.check_kappa_growth(_H * _I2, _I2, 5e307),
+    "PerturbationCase": lambda: perturb.PerturbationCase(_H * _I2, _I2, 5e307),
+    "check_eigvec_bound": lambda: perturb.check_eigvec_bound(np.diag([_H, _H / 2.0]), _I2, 5e307),
+    "check_inv_lemma": lambda: perturb.check_inv_lemma(*_OPPOSED),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_SUMS))
+def test_overflowing_sum_raises_non_finite(name):
+    with pytest.raises(NonFinite, match="past the largest float"):
+        OVERFLOWING_SUMS[name]()
+
+
+@pytest.mark.parametrize("bound", sorted(perturb.SWEEPABLE))
+def test_sweep_records_an_overflowing_sum_as_non_finite(bound):
+    # eigvec needs a simple spectrum; every other row takes H * I.
+    m = np.diag([_H, _H / 2.0]) if bound == "eigvec" else _H * _I2
+    report = perturb.sweep(m, _I2, [5e307], bound)
+    assert report.grid == ()
+    assert [msg.split(":")[0] for _, msg in report.errors] == ["NonFinite"]
 
 
 MALFORMED_FILES = ("", "\n", "1 2\n3\n", "# 2 2\n1 0\n", "x y\n", "# a b\n1\n", "1 nan\n")

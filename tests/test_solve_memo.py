@@ -17,9 +17,10 @@ from sympspec.densemat import (
     singular_values,
     spd_inverse,
     sym_eig,
+    _kappa_and_norm,
     _reuses_solves,
 )
-from sympspec.errors import ConvergenceFailure, NotPositiveDefinite
+from sympspec.errors import ConvergenceFailure, NotPositiveDefinite, SympspecError
 from sympspec.gaussian import (
     GaussianState,
     entanglement_entropy,
@@ -43,7 +44,13 @@ from sympspec.perturb import (
     degenerate_demo,
     sweep,
 )
-from sympspec.symplectic import gauge_align, is_symplectic, symplectic_spectrum, williamson
+from sympspec.symplectic import (
+    gauge_align,
+    is_symplectic,
+    symplectic_spectrum,
+    williamson,
+    _symplectic_spectrum,
+)
 
 
 _DATA = Path(__file__).parent / "data"
@@ -109,6 +116,24 @@ _KERNEL_RUNS = {
 }
 
 
+# The calls that read kappa and ||M|| off _symplectic_spectrum's hand-over,
+# on the same data times 2^300, a sweep's grid included. Every solve runs on
+# M / 4^150, and the hand-over carries the exponent, so the counts equal the
+# scale-1 counts above.
+_BIG = 2.0**300
+_KERNEL_RUNS_RESCALED = {
+    "bound_spectrum": (6, lambda: bound_spectrum(_M * _BIG, _MP * _BIG, NormKind.OPERATOR)),
+    "bound_spectrum.frobenius": (4, lambda: bound_spectrum(_M * _BIG, _MP * _BIG, _FRO)),
+    "bound_spectrum.trace": (6, lambda: bound_spectrum(_M * _BIG, _MP * _BIG, _TR)),
+    "bound_bhatia_jain": (6, lambda: bound_bhatia_jain(_M * _BIG, _MP * _BIG)),
+    "entropy_difference_bound": (5, lambda: entropy_difference_bound(_G * _BIG, _G2 * _BIG)),
+    "sweep.spectrum": (19, lambda: sweep(_M * _BIG, _E, [x * _BIG for x in _GRID], "spectrum")),
+    "sweep.bhatia_jain": (
+        19, lambda: sweep(_M * _BIG, _E, [x * _BIG for x in _GRID], "bhatia_jain")
+    ),
+}
+
+
 @pytest.mark.parametrize("name", list(_KERNEL_RUNS))
 def test_kernel_runs_per_public_call(kernel_runs, name):
     expected, _, call = _KERNEL_RUNS[name]
@@ -122,6 +147,69 @@ def test_kernel_runs_without_the_memo(kernel_runs, monkeypatch, name):
     monkeypatch.setattr(densemat, "SOLVE_MEMO_CAPACITY", 0)
     call()
     assert len(kernel_runs) == expected
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_RUNS_RESCALED))
+def test_kernel_runs_after_a_rescale(kernel_runs, name):
+    expected, call = _KERNEL_RUNS_RESCALED[name]
+    assert expected == _KERNEL_RUNS[name][0]
+    call()
+    assert len(kernel_runs) == expected
+
+
+def _outcome(call):
+    # The call's result in hex, or the type of the exception it raised.
+    try:
+        return as_hex(call())
+    except SympspecError as exc:
+        return type(exc).__name__
+
+
+def _fresh_kappa_and_norm(m):
+    # kappa(M) and ||M||_op = lambda_max(M) from solves of M itself.
+    return _outcome(lambda: (condition_number(m), float(sym_eig(m).eigenvalues[-1])))
+
+
+def _handed_over_kappa_and_norm(m):
+    return _outcome(lambda: _kappa_and_norm(*_symplectic_spectrum(m)[1:]))
+
+
+_HANDOVER_SCALES = (
+    1.0, 2.0**300, 2.0**-300, 3.0 * 2.0**301, 2.0**-1000, 2.0**-1040, 2.0**1000, 2.0**1020,
+)
+
+
+@pytest.mark.parametrize("scale", _HANDOVER_SCALES, ids=float.hex)
+def test_handed_over_spectrum_gives_the_bits_of_a_fresh_solve(scale):
+    # _symplectic_spectrum solves M / 4^j; read with its exponent 2j, that
+    # spectrum gives kappa(M) and ||M||_op bit for bit.
+    rng = np.random.default_rng(2101)
+    for i in range(12):
+        kappa = 10.0 ** rng.uniform(0.0, 6.0)
+        top = 10.0 ** rng.uniform(-1.0, 0.5)
+        m = random_spd(rng, 2 + 2 * (i % 4), kappa, top / kappa) * scale
+        want = _fresh_kappa_and_norm(m)
+        assert not isinstance(want, str)
+        assert _handed_over_kappa_and_norm(m) == want
+
+
+_EDGES = {
+    # Entries below 2^1023, lambda_max = 7.3 * 2^1022 past the largest float.
+    "NonFinite": (np.full((4, 4), 1.8) + 0.1 * np.eye(4)) * 2.0**1022,
+    # Solved at M / 4^j the spectrum passes the positive-definiteness gate,
+    # but M's smallest eigenvalue, about 0.497 * 2^-1074, rounds to 0.
+    "NotPositiveDefinite": np.kron(np.eye(2), np.array([[100.0, 99.0], [99.0, 99.0]]) * 2.0**-1074),
+}
+
+
+@pytest.mark.parametrize("error", list(_EDGES))
+def test_handed_over_spectrum_raises_as_a_fresh_solve(error):
+    m = _EDGES[error]
+    assert _fresh_kappa_and_norm(m) == error
+    assert _handed_over_kappa_and_norm(m) == error
+    with pytest.raises(SympspecError) as raised:
+        bound_spectrum(m, m)
+    assert type(raised.value).__name__ == error
 
 
 def _two_mode_pair():

@@ -164,9 +164,14 @@ def _jacobi_kernel(a, off_tol, max_sweeps):
     # current entries. A stale diagonal entry stays finite: each rotation
     # adds to it at most the magnitude of one current entry, (q, p) of
     # row q or (p, q) of row p, since |c| and |s| are at most 1.
-    # Rows rotate in place through views bound once per call: with the
-    # scratch rows t1 = s*w_q and t2 = s*w_p, w_p*c - t1 is c*w_p - s*w_q
-    # and w_q*c + t2 is s*w_p + c*w_q, as IEEE products and sums commute.
+    # Row p lives for its whole pass in bp, the first row of the contiguous
+    # block pq = [bp; bq], and goes back into w when the pass ends; no
+    # other write of the pass reaches row p of w except (p, q) by the
+    # column-q copy, whose closed form 0.0 bp holds. Each rotation copies
+    # row q into bq and rotates both rows with four ufunc calls: with
+    # sc = s*pq taken before pq *= c, bp - sc[1] is c*w_p - s*w_q and
+    # bq + sc[0] is s*w_p + c*w_q, as IEEE products and sums commute; the
+    # last call writes row q straight back into w.
     # c and s reach the ufuncs as 0-d arrays, which numpy takes faster than
     # Python floats; the products are the same float64 products.
     n = a.shape[0]
@@ -176,24 +181,28 @@ def _jacobi_kernel(a, off_tol, max_sweeps):
     rows = list(w)
     arows = list(wa)
     acols = list(wa.T)
-    item = wa.item
     dg = wa.diagonal().tolist()
     r = np.arange(n)
     upper = np.less.outer(r, r)
-    t1 = np.empty(w.shape[1])
-    t2 = np.empty(w.shape[1])
+    pq = np.empty((2, 2 * n))
+    sc = np.empty((2, 2 * n))
+    bp, bq = pq
+    sp, sq = sc
+    ap = bp[:n]
+    item = bp.item
     c0 = np.empty(())
     s0 = np.empty(())
     mul = np.multiply
+    add = np.add
     for sweep in range(max_sweeps):
         if math.sqrt(_off_norm2_in_order(wa, upper)) <= off_tol:
             converged, sweeps = True, sweep
             break
         for p in range(n - 1):
             wp = rows[p]
-            ap = arows[p]
+            bp[...] = wp
             for q in range(p + 1, n):
-                apq = item(p, q)
+                apq = item(q)
                 if abs(apq) <= skip:
                     continue
                 app = dg[p]
@@ -207,17 +216,16 @@ def _jacobi_kernel(a, off_tol, max_sweeps):
                 s = t * c
                 c0[()] = c
                 s0[()] = s
-                wq = rows[q]
-                mul(wq, s0, t1)
-                mul(wp, s0, t2)
-                wp *= c0
-                wp -= t1
-                wq *= c0
-                wq += t2
+                bq[...] = rows[q]
+                mul(pq, s0, sc)
+                pq *= c0
+                bp -= sq
+                add(bq, sp, rows[q])
                 dg[p] = app - t * apq
                 dg[q] = aqq + t * apq
                 acols[q][...] = arows[q]
                 ap[q] = 0.0
+            wp[...] = bp
             acols[p][...] = ap
     else:
         converged = bool(math.sqrt(_off_norm2_in_order(wa, upper)) <= off_tol)

@@ -558,8 +558,11 @@ def check_eigvec_bound(a, b, epsilon: float) -> BoundReport:
         raise PreconditionViolated("||B||_op must not exceed 1")
     spec = sym_eig(mat)
     n = mat.shape[0]
-    scale = float(np.max(np.abs(spec.eigenvalues)))
-    gap = float(np.min(np.diff(spec.eigenvalues))) if n > 1 else math.inf
+    vals = spec.eigenvalues
+    scale = float(np.max(np.abs(vals)))
+    gap = math.inf
+    if n > 1:
+        gap = float(np.min(_finite_sum(vals[1:], -1.0, vals[:-1], "eigenvalue gap")))
     if not gap > 1e-12 * scale:
         raise DegenerateSpectrum(f"eigenvalue gap {gap:.3e} is negligible")
     spec_eps = sym_eig(_perturbed(mat, pert, epsilon))
@@ -599,13 +602,14 @@ def check_projection_bound(a, b, s1_range, s2_range) -> BoundReport:
     i2 = _validate_range(s2_range, n, "s2_range")
     vals1 = spec_a.eigenvalues[i1]
     vals2 = spec_b.eigenvalues[i2]
-    delta = float(np.min(np.abs(np.subtract.outer(vals1, vals2))))
+    distances = _finite_sum(vals1[:, None], -1.0, vals2, "eigenvalue distance")
+    delta = float(np.min(np.abs(distances)))
     if delta <= 0.0:
         raise ZeroGap("eigenvalue subsets touch; dist(S1, S2) must be positive")
     proj_a = spec_a.eigenvectors[:, i1] @ spec_a.eigenvectors[:, i1].T
     proj_b = spec_b.eigenvectors[:, i2] @ spec_b.eigenvectors[:, i2].T
     overlap = proj_a @ proj_b
-    diff = mat_a - mat_b
+    diff = _finite_sum(mat_a, -1.0, mat_b, "A - B")
     per_kind = {}
     worst = None
     for kind, lhs_k, diff_k in zip(NormKind, _norms(overlap, NormKind), _norms(diff, NormKind)):

@@ -1,5 +1,7 @@
 """Kernel-level checks: eigensolver residuals, square roots, inverses, norms."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -378,7 +380,51 @@ def _jacobi_cases():
         # cut after one sweep: the unconverged exit must write the diagonal too
         (_doubled(b - b.T), 1),
     ]
+    # In the first sweep, row 0's pass skips its first and last pairs and
+    # rotates the three between them: (0, 1) is zero, and so is (0, 5),
+    # which those rotations leave zero since (2..4, 5) are zero too.
+    ends_skip = sym(6)
+    ends_skip[0, 1] = ends_skip[1, 0] = 0.0
+    ends_skip[[0, 2, 3, 4], 5] = ends_skip[5, [0, 2, 3, 4]] = 0.0
+    # Off-diagonal entries of 1e-9 against diagonal gaps of 1: every
+    # rotation has t*t below half an ulp of 1, so c is exactly 1.0.
+    g = sym(8)
+    near_diagonal = np.diag(np.arange(1.0, 9.0)) + 1e-9 * g
+    # The doubled kernel H and the Gram matrix K^T K of the paired basis
+    # that williamson solves for criterion-1-style matrices at 2n = 20 and
+    # 40: H is 40x40 and 80x80, and K^T K is the identity to rounding.
+    (h20, gram20), (h40, gram40) = (
+        _williamson_solves(random_spd(rng, dim, 1e6, 10.0 ** rng.uniform(-1.0, 1.0)))
+        for dim in (20, 40)
+    )
+    cases += [
+        (ends_skip, JACOBI_MAX_SWEEPS),
+        (near_diagonal, JACOBI_MAX_SWEEPS),
+        (h20, JACOBI_MAX_SWEEPS),
+        (gram20, JACOBI_MAX_SWEEPS),
+        (h40, JACOBI_MAX_SWEEPS),
+        (gram40, JACOBI_MAX_SWEEPS),
+        # cut after one sweep
+        (h20, 1),
+    ]
     return cases
+
+
+def _williamson_solves(m):
+    # The matrices williamson hands sym_eig after its solve of M: the
+    # doubled kernel, then K^T K for its orthogonality gate.
+    from sympspec import symplectic
+
+    seen = []
+    real = symplectic.sym_eig
+
+    def recording(a):
+        seen.append(np.array(a))
+        return real(a)
+
+    with mock.patch.object(symplectic, "sym_eig", recording):
+        symplectic.williamson(m)
+    return seen
 
 
 def _doubled(b):
@@ -416,7 +462,7 @@ def test_jacobi_kernel_matches_loop_bitwise():
         assert w[:, dim:].T.tobytes() == v_ref.tobytes()
         # the kernel works in its own stack, never in its input
         assert a_in.tobytes() == a.tobytes()
-    assert unconverged == 3
+    assert unconverged == 4
 
 
 def _off_norm2_loop(a):

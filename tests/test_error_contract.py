@@ -188,10 +188,30 @@ OVERFLOWING_SUMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(OVERFLOWING_SUMS))
+# Inputs whose eigenvalue differences, or A - B, pass the largest float.
+# Neither checker needs a definite input, so no solve raises first.
+_SPLIT = np.array([[0.0, _H], [_H, 0.0]])    # eigenvalues -H and H
+OVERFLOWING_DIFFERENCES = {
+    "check_projection_bound distance": lambda: perturb.check_projection_bound(
+        _SPLIT, -_SPLIT, (0, 1), (1, 2)
+    ),
+    "check_projection_bound A - B": lambda: perturb.check_projection_bound(
+        np.diag([_H, 0.0]), np.diag([-_H, 0.0]), (1, 2), (1, 2)
+    ),
+    "check_eigvec_bound gap": lambda: perturb.check_eigvec_bound(_SPLIT, 0.5 * _I2, 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_SUMS) + sorted(OVERFLOWING_DIFFERENCES))
 def test_overflowing_sum_raises_non_finite(name):
     with pytest.raises(NonFinite, match="past the largest float"):
-        OVERFLOWING_SUMS[name]()
+        {**OVERFLOWING_SUMS, **OVERFLOWING_DIFFERENCES}[name]()
+
+
+def test_sweep_records_an_overflowing_gap_as_non_finite():
+    report = perturb.sweep(_SPLIT, _I2, [1e-3], "eigvec")
+    assert report.grid == ()
+    assert report.errors[0][1] == "NonFinite: eigenvalue gap has an entry past the largest float"
 
 
 @pytest.mark.parametrize("bound", sorted(perturb.SWEEPABLE))

@@ -16,7 +16,7 @@ from conftest import (
     random_symplectic,
     williamson_form,
 )
-from sympspec import symplectic
+from sympspec import densemat, symplectic
 from sympspec.densemat import NormKind, norm, psd_sqrt, singular_values
 from sympspec.errors import (
     DegenerateSpectrum,
@@ -472,6 +472,73 @@ class TestModePairing:
         got = _pairing_outcome(symplectic._extract_mode_pairs, b)
         assert got == _pairing_outcome(_full_scan_mode_pairs, b)
         assert got == ([], [], b"")
+
+
+def _criterion_1_corpus(count):
+    # Criterion 1's style: 2n = 2..20, kappa = 10^U(0,6), scale 10^U(-1,1).
+    mats = []
+    for k in range(count):
+        rng = np.random.default_rng(2600 + k)
+        kappa, scale = 10.0 ** rng.uniform(0.0, 6.0), 10.0 ** rng.uniform(-1.0, 1.0)
+        mats.append(random_spd(rng, 2 + 2 * (k % 10), kappa, scale))
+    return mats
+
+
+def _stretched_pairs(factor):
+    # _extract_mode_pairs with its first x scaled by factor: K^T K then has
+    # the eigenvalue factor^2 and otherwise 1, so the defect is
+    # factor^2 - 1.
+    extract = symplectic._extract_mode_pairs
+
+    def stretched(b):
+        xs, ys, ds = extract(b)
+        return [xs[0] * factor] + xs[1:], ys, ds
+
+    return stretched
+
+
+class TestOrthogonalityGate:
+    """williamson refuses a paired basis K with ||K^T K - I||_op past
+    RESIDUAL_TOL, reading the norm off the eigenvalues of K^T K."""
+
+    def test_defect_matches_the_solved_norm(self, monkeypatch):
+        bases = []
+        extract = symplectic._extract_mode_pairs
+
+        def recording(b):
+            pairs = extract(b)
+            bases.append(np.column_stack(pairs[0] + pairs[1]))
+            return pairs
+
+        monkeypatch.setattr(symplectic, "_extract_mode_pairs", recording)
+        for m in _criterion_1_corpus(60):
+            williamson(m)
+        assert len(bases) == 60
+        for k in bases:
+            solved = norm(k.T @ k - np.eye(k.shape[1]), NormKind.OPERATOR)
+            assert abs(symplectic._orthogonality_defect(k) - solved) <= 1e-13
+
+    @pytest.mark.parametrize("factor, fails", [(1.0 + 5e-7, True), (1.0 + 5e-11, False)])
+    def test_defect_past_tolerance_is_a_pairing_failure(self, factor, fails, monkeypatch):
+        # Defects near 1e-6 and 1e-10, on both sides of RESIDUAL_TOL = 1e-8.
+        monkeypatch.setattr(symplectic, "_extract_mode_pairs", _stretched_pairs(factor))
+        m = _criterion_1_corpus(3)[2]
+        if fails:
+            with pytest.raises(PairingFailure, match="assembled basis is not orthogonal"):
+                williamson(m)
+        else:
+            assert williamson(m).n_modes == 3
+
+    def test_williamson_never_takes_a_midpoint(self, monkeypatch):
+        # Every matrix williamson hands sym_eig, the doubled kernel H
+        # included, is bit-symmetric when M is, so none is symmetrized.
+        def refused(*args):
+            raise AssertionError("williamson took a midpoint")
+
+        monkeypatch.setattr(densemat, "_midpoint", refused)
+        degenerate = williamson_form(np.random.default_rng(48), [2.0, 2.0, 1.0])
+        for m in _criterion_1_corpus(20) + [np.eye(2), degenerate]:
+            williamson(m)
 
 
 class TestSymplecticInverse:

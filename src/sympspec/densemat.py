@@ -349,9 +349,10 @@ def sym_eig(a) -> Spectrum:
 
     Deterministic: fixed sweep order, ascending eigenvalues, and a sign
     convention that makes the largest-magnitude component of every
-    eigenvector positive (ties broken by lowest index). Within one call of a
-    public function that solves the same matrix more than once, repeats
-    return copies of the first solve, which are the same bits.
+    eigenvector positive (ties broken by lowest index). Within one call of
+    ``symplectic_spectrum``'s body or of ``perturb.sweep``, the two that
+    solve a matrix more than once, repeats return copies of the first
+    solve, which are the same bits.
     """
     m = _require_symmetric(_require_square(as_matrix(a)))
     n = m.shape[0]
@@ -386,22 +387,31 @@ def sym_eig(a) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def _spd_spectrum(a, name: str = "") -> Spectrum:
+def _spd_spectrum(a, name: str = "", exp: int = 0) -> Spectrum:
     # sym_eig(a), raising NotPositiveDefinite unless the smallest eigenvalue
     # clears TOL_PD relative to the largest magnitude; an empty matrix fails.
+    # a is M / 2^exp for a caller's M; the message names M's eigenvalue.
     spec = sym_eig(a)
-    _require_positive_definite(spec.eigenvalues, name)
+    _require_positive_definite(spec.eigenvalues, name, exp)
     return spec
 
 
-def _require_positive_definite(vals, name: str = "") -> None:
-    # _spd_spectrum's gate on ascending eigenvalues.
+def _require_positive_definite(vals, name: str = "", exp: int = 0) -> None:
+    # _spd_spectrum's gate on ascending eigenvalues. Only the message reads
+    # exp: it gives the smallest eigenvalue times 2^exp, written as
+    # "x * 2^exp", as _unscale does, where that product leaves the float
+    # range.
     if vals.size == 0 or vals[0] <= TOL_PD * float(np.abs(vals).max()):
-        smallest = vals[0] if vals.size else float("nan")
+        smallest = float(vals[0]) if vals.size else math.nan
+        # |smallest| * 2^exp lies in [2^(e-1), 2^e): a nonzero float when
+        # e > -1074 and a finite one when e <= _MAX_EXP.
+        e = math.frexp(smallest)[1] + exp
+        if -1074 < e <= _MAX_EXP:
+            shown = f"{math.ldexp(smallest, exp):.6e}"
+        else:
+            shown = f"{smallest:.6e} * 2^{exp}"
         prefix = f"{name}: " if name else ""
-        raise NotPositiveDefinite(
-            f"{prefix}smallest eigenvalue {smallest:.6e} is not positive"
-        )
+        raise NotPositiveDefinite(f"{prefix}smallest eigenvalue {shown} is not positive")
 
 
 def psd_sqrt(a) -> np.ndarray:
@@ -425,7 +435,7 @@ def _spd_inverse(a) -> tuple[np.ndarray, np.ndarray, int]:
     # Invert A / 2^k, whose largest entry is near 1, then scale back;
     # _unscale raises NonFinite where A^-1 passes the largest float.
     m, exp = _rescaled(_require_square(as_matrix(a)))
-    spec = _spd_spectrum(m)
+    spec = _spd_spectrum(m, exp=exp)
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     w = (vecs / vals) @ vecs.T
     return _unscale((w + w.T) / 2.0, -exp), vals, exp
@@ -486,12 +496,12 @@ def condition_number(a) -> float:
     return _kappa_and_norm(sym_eig(a), 0)[0]
 
 
-def _kappa_and_norm(spec: Spectrum, exp: int) -> tuple[float, float]:
+def _kappa_and_norm(spec: Spectrum, exp: int, name: str = "") -> tuple[float, float]:
     # kappa(a) and ||a||_op = lambda_max of the positive definite a, read
     # without a solve off spec, the spectrum of a / 2^exp. Jacobi commutes
     # with the power of two, so these are the bits of a solve of a itself,
     # with its error types: NonFinite where lambda_max passes the largest
-    # float, NotPositiveDefinite where lambda_min underflows to 0.
+    # float, NotPositiveDefinite after name where lambda_min underflows to 0.
     vals = _unscale(spec.eigenvalues, exp)
-    _require_positive_definite(vals)
+    _require_positive_definite(vals, name)
     return float(vals[-1] / vals[0]), float(vals[-1])

@@ -49,6 +49,7 @@ from .errors import (
 from .symplectic import (
     standard_form,
     _gauge_align,
+    _scaled_spd,
     _symplectic_spectrum,
     _williamson_core,
 )
@@ -119,9 +120,9 @@ class PerturbationCase:
     m: np.ndarray
     e: np.ndarray
     epsilon: float
-    # The spectra of M and M + epsilon E that the positive-definiteness
-    # checks solved; the stability checkers factorize from them.
-    _spectra: tuple = field(init=False, repr=False, compare=False)
+    # _scaled_spd's tuples for M and M + epsilon E, whose spectra the
+    # positive-definiteness checks solved; the stability checkers start there.
+    _scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, e = _symmetric_pair(self.m, self.e)
@@ -129,11 +130,14 @@ class PerturbationCase:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "e", _unit_direction(e))
         object.__setattr__(self, "epsilon", float(self.epsilon))
-        spectra = (
-            _spd_spectrum(m, "M"),
-            _spd_spectrum(self.perturbed(), "M + epsilon E"),
-        )
-        object.__setattr__(self, "_spectra", spectra)
+        # Each spectrum, read at its matrix's own scale, raises NonFinite where
+        # lambda_max passes the largest float and NotPositiveDefinite where
+        # lambda_min underflows to 0.
+        scaled = _scaled_spd(m, "M")
+        _kappa_and_norm(scaled[3], scaled[2], "M")
+        scaled_eps = _scaled_spd(self.perturbed(), "M + epsilon E")
+        _kappa_and_norm(scaled_eps[3], scaled_eps[2], "M + epsilon E")
+        object.__setattr__(self, "_scaled", (scaled, scaled_eps))
 
     def perturbed(self) -> np.ndarray:
         return _perturbed(self.m, self.e, self.epsilon)
@@ -312,10 +316,9 @@ def _factor_pair(case: PerturbationCase):
     # williamson's S and d for M and for M + eps E, without its residual
     # solves and from the case's spectra, then M's smallest and largest
     # eigenvalues.
-    spec, spec_eps = case._spectra
-    s, d, _, exp, vals = _williamson_core(case.m, spec)
-    s_eps, d_eps, _, exp_eps, _ = _williamson_core(case.perturbed(), spec_eps)
-    lam = _unscale(vals, exp)
+    (s, d), (s_eps, d_eps) = map(_williamson_core, case._scaled)
+    (_, _, exp, spec), (_, _, exp_eps, _) = case._scaled
+    lam = _unscale(spec.eigenvalues, exp)
     return (s, _unscale(d, exp)), (s_eps, _unscale(d_eps, exp_eps)), float(lam[0]), float(lam[-1])
 
 
@@ -434,8 +437,8 @@ def degenerate_demo(epsilon: float) -> DegenerateDemoReport:
     )
     mp = np.diag([1.0 + epsilon, 1.0 - epsilon, 1.0 + epsilon, 1.0 - epsilon])
 
-    s = _williamson_core(m)[0]
-    s_p = _williamson_core(mp)[0]
+    s = _williamson_core(_scaled_spd(m))[0]
+    s_p = _williamson_core(_scaled_spd(mp))[0]
     s_dist = norm(s - s_p, NormKind.OPERATOR)
 
     angles = np.arange(360) * (2.0 * math.pi / 360.0)

@@ -88,14 +88,15 @@ def _even_dim(m: np.ndarray) -> int:
     return m.shape[0] // 2
 
 
-def _scaled_even(m) -> tuple[np.ndarray, int, int]:
-    # (M / 4^j, n, 2j) for a symmetric M of even dimension 2n. j is 0 unless
-    # M's entries are extreme; the symplectic spectrum of M / 4^j is d / 4^j
-    # exactly, since M^{1/2} scales by 2^-j.
+def _scaled_spd(m, name: str = "") -> tuple[np.ndarray, int, int, Spectrum]:
+    # (M / 4^j, n, 2j, spectrum of M / 4^j) for a symmetric positive definite
+    # M of dimension 2n; NotPositiveDefinite names M's own eigenvalue. j is 0
+    # unless M's entries are extreme; S is the same at M / 4^j, and the
+    # symplectic spectrum is d / 4^j exactly, since M^{1/2} scales by 2^-j.
     mat = _require_symmetric(_require_square(as_matrix(m)))
     n = _even_dim(mat)
     mat, exp = _rescaled(mat, even=True)
-    return mat, n, exp
+    return mat, n, exp, _spd_spectrum(mat, name, exp)
 
 
 def is_symplectic(s, tol: float = RESIDUAL_TOL) -> bool:
@@ -131,9 +132,8 @@ def _symplectic_spectrum(m) -> tuple[np.ndarray, Spectrum, int]:
     # definiteness check solved, and 2j; densemat._kappa_and_norm reads
     # kappa(M) and ||M||_op off the last two. psd_sqrt solves the same
     # matrix again.
-    mat, n, exp = _scaled_even(m)
+    mat, n, exp, spec = _scaled_spd(m)
     # At the scale of M / 4^j no pair sum below overflows.
-    spec = _spd_spectrum(mat)
     root = psd_sqrt(mat)
     sigma = standard_form(n)
     s = singular_values(root @ sigma @ root)
@@ -256,18 +256,11 @@ def _orthogonality_defect(k: np.ndarray) -> float:
     return max(float(vals[-1]) - 1.0, 1.0 - float(vals[0]))
 
 
-def _williamson_core(
-    m, spec=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
-    # Every step of williamson up to S and d, without its two residual
-    # solves: (S, d / 4^j, M / 4^j, 2j, eigenvalues of M / 4^j). Callers that
-    # read only these skip those solves; each scales back with _unscale(x, 2j).
-    # A caller that has solved M already passes spec = _spd_spectrum(M); it
-    # stands in for the M solve, with the same bits, where j is 0.
-    mat, n, exp = _scaled_even(m)
-    # S is the same at M / 4^j.
-    if spec is None or exp != 0:
-        spec = _spd_spectrum(mat)
+def _williamson_core(scaled) -> tuple[np.ndarray, np.ndarray]:
+    # Every step of williamson up to S and d / 4^j, without its two residual
+    # solves, from the tuple _scaled_spd returns for M; callers that read
+    # only these skip those solves, and scale d back with _unscale(d, 2j).
+    _, n, _, spec = scaled
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     inv_root = (vecs / np.sqrt(vals)) @ vecs.T
     inv_root = (inv_root + inv_root.T) / 2.0
@@ -290,7 +283,7 @@ def _williamson_core(
         )
 
     s = inv_root @ (k * np.sqrt(np.concatenate([d, d])))
-    return s, d, mat, exp, vals
+    return s, d
 
 
 def williamson(m) -> WilliamsonFactorization:
@@ -302,9 +295,9 @@ def williamson(m) -> WilliamsonFactorization:
     gauge (choice of K on degenerate eigenspaces) is fixed deterministically
     by canonical-basis seeds.
     """
-    s, d, mat, exp, _ = _williamson_core(m)
+    mat, n, exp, _ = scaled = _scaled_spd(m)
+    s, d = _williamson_core(scaled)
     # d and residual_diag scale back by 4^j.
-    n = d.shape[0]
     sigma = standard_form(n)
     d_full = np.concatenate([d, d])
     residual_diag = norm(s.T @ mat @ s - np.diag(d_full), NormKind.OPERATOR)

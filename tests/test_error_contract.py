@@ -12,6 +12,7 @@ nothing on stdout.
 import contextlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from sympspec import cli, densemat, gaussian, perturb, symplectic
 from sympspec.densemat import NormKind
-from sympspec.errors import NonFinite, SympspecError
+from sympspec.errors import NonFinite, NotPositiveDefinite, SympspecError
 
 CONTRACT = settings(
     derandomize=True,
@@ -221,6 +222,50 @@ def test_sweep_records_an_overflowing_sum_as_non_finite(bound):
     report = perturb.sweep(m, _I2, [5e307], bound)
     assert report.grid == ()
     assert [msg.split(":")[0] for _, msg in report.errors] == ["NonFinite"]
+
+
+def _sweep_error(m, eye):
+    # Raises the error a spectrum sweep records at its one point.
+    ((_, error),) = perturb.sweep(m, eye, [1e-3], "spectrum").errors
+    kind, _, message = error.partition(": ")
+    assert kind == "NotPositiveDefinite"
+    raise NotPositiveDefinite(message)
+
+
+# Every public entry that gates on positive definiteness, on one indefinite
+# M; some solve M itself and some M rescaled by a power of two.
+POSITIVE_DEFINITE_GATES = {
+    "symplectic_spectrum": lambda m, eye: symplectic.symplectic_spectrum(m),
+    "williamson": lambda m, eye: symplectic.williamson(m),
+    "bound_spectrum": lambda m, eye: perturb.bound_spectrum(m, m),
+    "bound_bhatia_jain": lambda m, eye: perturb.bound_bhatia_jain(m, m),
+    "entropy_difference_bound": lambda m, eye: gaussian.entropy_difference_bound(m, m),
+    "entanglement_entropy": lambda m, eye: gaussian.entanglement_entropy(m),
+    "validate_covariance": lambda m, eye: gaussian.validate_covariance(m),
+    "GaussianState.create": lambda m, eye: gaussian.GaussianState.create(m),
+    "spd_inverse": lambda m, eye: densemat.spd_inverse(m),
+    "check_inv_lemma": lambda m, eye: perturb.check_inv_lemma(m, m),
+    "sweep.spectrum": _sweep_error,
+    "condition_number": lambda m, eye: densemat.condition_number(m),
+    "check_kappa_growth": lambda m, eye: perturb.check_kappa_growth(m, eye, 1e-3),
+    "PerturbationCase": lambda m, eye: perturb.PerturbationCase(m, eye, 1e-3),
+}
+
+
+@pytest.mark.parametrize("exp, smallest", [(600, "-4.149516e+180"), (-600, "-2.409920e-181")])
+@pytest.mark.parametrize("name", list(POSITIVE_DEFINITE_GATES))
+def test_not_positive_definite_names_the_inputs_own_eigenvalue(name, exp, smallest):
+    m = np.diag([1.0, -1.0, 1.0, 1.0]) * 2.0**exp
+    with pytest.raises(NotPositiveDefinite, match=re.escape(f"smallest eigenvalue {smallest} is not")):
+        POSITIVE_DEFINITE_GATES[name](m, np.eye(4))
+
+
+@pytest.mark.parametrize("call", [densemat.spd_inverse, symplectic.williamson])
+def test_smallest_eigenvalue_past_the_largest_float_is_named_without_overflow(call):
+    # The eigenvalues are 0 and -3.4e308; the gate runs on M / 2^1024.
+    m = np.array([[-_H, _H], [_H, -_H]])
+    with pytest.raises(NotPositiveDefinite, match=r"eigenvalue -1\.\d{6}e\+00 \* 2\^1024 is not"):
+        call(m)
 
 
 MALFORMED_FILES = ("", "\n", "1 2\n3\n", "# 2 2\n1 0\n", "x y\n", "# a b\n1\n", "1 nan\n")

@@ -15,6 +15,7 @@ from sympspec.errors import (
     NotInvertible,
     NotPositiveDefinite,
     NotSquare,
+    OddDimension,
     OutOfValidityRange,
     PreconditionViolated,
     ZeroGap,
@@ -59,6 +60,17 @@ class TestPerturbationCase:
     def test_rejects_zero_direction(self):
         with pytest.raises(OutOfValidityRange, match="E must be nonzero"):
             PerturbationCase(np.eye(2), np.zeros((2, 2)), 0.1)
+
+    def test_rejects_odd_dimension_when_built(self):
+        with pytest.raises(OddDimension):
+            PerturbationCase(np.diag([1.0, 2.0, 3.0]), np.eye(3), 1e-3)
+
+    def test_rejects_lambda_max_past_the_largest_float_when_built(self):
+        # Every entry is finite, and M / 4^512 is positive definite, but
+        # lambda_max(M) = 2.5e308 is not a float.
+        m = np.array([[1.5e308, 1e308], [1e308, 1.5e308]])
+        with pytest.raises(NonFinite, match="exceeds the largest float"):
+            PerturbationCase(m, np.eye(2), 1e-3)
 
 
 # Every epsilon gate, with inputs that pass it at a finite epsilon.

@@ -117,11 +117,14 @@ _KERNEL_RUNS = {
 
 
 # The calls that read kappa and ||M|| off _symplectic_spectrum's hand-over,
-# on the same data times 2^300, a sweep's grid included. Every solve runs on
-# M / 4^150, and the hand-over carries the exponent, so the counts equal the
-# scale-1 counts above.
+# and the stability checkers that factorize from a PerturbationCase's
+# spectra, on the same data times 2^300, a sweep's grid and epsilon
+# included. Every solve runs on M / 4^150, and the hand-over carries the
+# exponent, so the counts equal the scale-1 counts above.
 _BIG = 2.0**300
 _KERNEL_RUNS_RESCALED = {
+    "bound_S": (8, lambda: bound_S(PerturbationCase(_M * _BIG, _E, _EPS * _BIG))),
+    "bound_gram": (10, lambda: bound_gram(PerturbationCase(_M * _BIG, _E, _EPS * _BIG))),
     "bound_spectrum": (6, lambda: bound_spectrum(_M * _BIG, _MP * _BIG, NormKind.OPERATOR)),
     "bound_spectrum.frobenius": (4, lambda: bound_spectrum(_M * _BIG, _MP * _BIG, _FRO)),
     "bound_spectrum.trace": (6, lambda: bound_spectrum(_M * _BIG, _MP * _BIG, _TR)),
@@ -207,9 +210,10 @@ def test_handed_over_spectrum_raises_as_a_fresh_solve(error):
     m = _EDGES[error]
     assert _fresh_kappa_and_norm(m) == error
     assert _handed_over_kappa_and_norm(m) == error
-    with pytest.raises(SympspecError) as raised:
-        bound_spectrum(m, m)
-    assert type(raised.value).__name__ == error
+    for call in (lambda: bound_spectrum(m, m), lambda: PerturbationCase(m, np.eye(4), 1e-3)):
+        with pytest.raises(SympspecError) as raised:
+            call()
+        assert type(raised.value).__name__ == error
 
 
 def _two_mode_pair():

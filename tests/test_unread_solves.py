@@ -13,7 +13,7 @@ import pytest
 
 from conftest import as_hex, random_spd, random_spd_generic, random_symmetric_unit, williamson_form
 from sympspec import perturb
-from sympspec.densemat import NormKind, norm, sym_eig, _unscale
+from sympspec.densemat import NormKind, norm, _unscale
 from sympspec.errors import DegenerateSpectrum, PairingFailure, SympspecError
 from sympspec.perturb import PerturbationCase, bound_S, bound_gram, degenerate_demo, sweep
 from sympspec.symplectic import (
@@ -23,6 +23,7 @@ from sympspec.symplectic import (
     gauge_align,
     symplectic_inverse,
     williamson,
+    _scaled_spd,
     _williamson_core,
 )
 
@@ -57,11 +58,11 @@ def _exact_gauge_align(ref_s, ref_d, other_s, other_d):
     return GaugeAlignment(angles=angles, aligned_S=aligned, distance=distance)
 
 
-def _public_core(m, spec=None):
-    # _williamson_core's (S, d / 4^j, M / 4^j, 2j, eigenvalues of M / 4^j)
-    # from public williamson and sym_eig, whatever spectrum is passed.
-    fac = williamson(m)
-    return fac.S, fac.d, None, 0, sym_eig(m).eigenvalues
+def _public_core(scaled):
+    # _williamson_core's (S, d / 4^j) from public williamson on M / 4^j,
+    # whatever spectrum the tuple carries.
+    fac = williamson(scaled[0])
+    return fac.S, fac.d
 
 
 def _outcome(call):
@@ -88,7 +89,9 @@ def test_core_matches_williamson_bitwise(dim):
     base = random_spd_generic(rng, dim, max_log_kappa=6.0)
     for scale in _SCALES:
         m = base * scale
-        s, d, _, exp, _ = _williamson_core(m)
+        scaled = _scaled_spd(m)
+        s, d = _williamson_core(scaled)
+        exp = scaled[2]
         fac = williamson(m)
         assert s.tobytes() == fac.S.tobytes()
         assert _unscale(d, exp).tobytes() == fac.d.tobytes()

@@ -313,34 +313,38 @@ def _reuses_solves(fn):
     return wrapper
 
 
-def _rescaled(m: np.ndarray, even: bool = False) -> tuple[np.ndarray, int]:
+def _rescaled(m: np.ndarray) -> tuple[np.ndarray, int]:
     # (m / 2^e, e). e is 0, and m comes back uncopied, when the largest entry
     # magnitude lies in [2^-256, 2^256] (or m is zero), where sums of squares
-    # neither overflow nor underflow; otherwise 2^e (e even if asked) brings
-    # it near 1. Scaling by a power of two is exact, and Jacobi commutes with
-    # it bit for bit.
+    # neither overflow nor underflow; otherwise e is the even exponent that
+    # brings it into [1/4, 1). Scaling by a power of two is exact, and Jacobi
+    # commutes with it bit for bit.
     amax = float(np.abs(m).max()) if m.size else 0.0
     if amax == 0.0 or 2.0 ** -256 <= amax <= 2.0 ** 256:
         return m, 0
-    e = math.frexp(amax)[1]
-    if even:
-        e += e & 1
+    e = 2 * math.ceil(math.frexp(amax)[1] / 2)
     return np.ldexp(m, -e), e
 
 
+def _times_two_to(x: float, exp: int, spec: str) -> str:
+    # x * 2^exp formatted by spec, or "y * 2^k" with 1 <= |y| < 2 where the
+    # product is no nonzero float: one value, one text, whatever the scale.
+    y, e = math.frexp(x)
+    if -1074 < e + exp <= _MAX_EXP:
+        return format(math.ldexp(x, exp), spec)
+    return f"{format(2.0 * y, spec)} * 2^{e + exp - 1}"
+
+
 def _unscale(x, exp: int):
-    # np.ldexp(x, exp), undoing a _rescaled rescale; x itself when
-    # exp is 0. Only exp > 0 can push a result past the largest float; that
-    # is caught before the ldexp, so it raises NonFinite instead of
-    # returning inf with a RuntimeWarning.
+    # np.ldexp(x, exp), undoing a _rescaled rescale; x itself when exp is 0.
+    # A result past the largest float raises NonFinite before the ldexp,
+    # which would return inf with a RuntimeWarning.
     if exp == 0:
         return x
     if exp > 0 and x.size:
         amax = float(np.abs(x).max())
         if math.frexp(amax)[1] + exp > _MAX_EXP:
-            raise NonFinite(
-                f"result {amax!r} * 2^{exp} exceeds the largest float"
-            )
+            raise NonFinite(f"result {_times_two_to(amax, exp, '')} exceeds the largest float")
     return np.ldexp(x, exp)
 
 
@@ -387,30 +391,25 @@ def sym_eig(a) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def _spd_spectrum(a, name: str = "", exp: int = 0) -> Spectrum:
-    # sym_eig(a), raising NotPositiveDefinite unless the smallest eigenvalue
-    # clears TOL_PD relative to the largest magnitude; an empty matrix fails.
-    # a is M / 2^exp for a caller's M; the message names M's eigenvalue.
-    spec = sym_eig(a)
+def _spd(m: np.ndarray, name: str = "") -> tuple[np.ndarray, int, Spectrum]:
+    # (M / 4^j, 2j, spectrum of M / 4^j) for a validated symmetric M: the one
+    # route by which positive definite inputs are scaled, solved and gated.
+    # j is 0 unless M's largest entry leaves [2^-256, 2^256]. The message of
+    # NotPositiveDefinite names M's own smallest eigenvalue after name.
+    mat, exp = _rescaled(m)
+    spec = sym_eig(mat)
     _require_positive_definite(spec.eigenvalues, name, exp)
-    return spec
+    return mat, exp, spec
 
 
 def _require_positive_definite(vals, name: str = "", exp: int = 0) -> None:
-    # _spd_spectrum's gate on ascending eigenvalues. Only the message reads
-    # exp: it gives the smallest eigenvalue times 2^exp, written as
-    # "x * 2^exp", as _unscale does, where that product leaves the float
-    # range.
+    # _spd's gate on the ascending eigenvalues of M / 2^exp: the smallest
+    # must clear TOL_PD relative to the largest magnitude. Only the message
+    # reads exp, to name M's own eigenvalue.
     if vals.size == 0 or vals[0] <= TOL_PD * float(np.abs(vals).max()):
         smallest = float(vals[0]) if vals.size else math.nan
-        # |smallest| * 2^exp lies in [2^(e-1), 2^e): a nonzero float when
-        # e > -1074 and a finite one when e <= _MAX_EXP.
-        e = math.frexp(smallest)[1] + exp
-        if -1074 < e <= _MAX_EXP:
-            shown = f"{math.ldexp(smallest, exp):.6e}"
-        else:
-            shown = f"{smallest:.6e} * 2^{exp}"
         prefix = f"{name}: " if name else ""
+        shown = _times_two_to(smallest, exp, ".6e")
         raise NotPositiveDefinite(f"{prefix}smallest eigenvalue {shown} is not positive")
 
 
@@ -431,11 +430,10 @@ def psd_sqrt(a) -> np.ndarray:
 
 
 def _spd_inverse(a) -> tuple[np.ndarray, np.ndarray, int]:
-    # (A^-1, the ascending eigenvalues of A / 2^k it was built from, k).
-    # Invert A / 2^k, whose largest entry is near 1, then scale back;
+    # (A^-1, the ascending eigenvalues of A / 4^j it was built from, 2j).
+    # Invert A / 4^j, whose largest entry is near 1, then scale back;
     # _unscale raises NonFinite where A^-1 passes the largest float.
-    m, exp = _rescaled(_require_square(as_matrix(a)))
-    spec = _spd_spectrum(m, exp=exp)
+    _, exp, spec = _spd(_require_symmetric(_require_square(as_matrix(a))))
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     w = (vecs / vals) @ vecs.T
     return _unscale((w + w.T) / 2.0, -exp), vals, exp
@@ -493,15 +491,15 @@ def identity_norm(n: int, kind: NormKind) -> float:
 
 def condition_number(a) -> float:
     """lambda_max / lambda_min of a symmetric positive definite matrix."""
-    return _kappa_and_norm(sym_eig(a), 0)[0]
+    _, exp, spec = _spd(_require_symmetric(_require_square(as_matrix(a))))
+    return _kappa_and_norm(spec, exp)[0]
 
 
 def _kappa_and_norm(spec: Spectrum, exp: int, name: str = "") -> tuple[float, float]:
-    # kappa(a) and ||a||_op = lambda_max of the positive definite a, read
-    # without a solve off spec, the spectrum of a / 2^exp. Jacobi commutes
-    # with the power of two, so these are the bits of a solve of a itself,
-    # with its error types: NonFinite where lambda_max passes the largest
-    # float, NotPositiveDefinite after name where lambda_min underflows to 0.
+    # kappa(a) and ||a||_op = lambda_max of the positive definite a, read off
+    # spec, the spectrum of a / 2^exp, with the bits and errors of a solve of
+    # a itself: NonFinite where lambda_max passes the largest float, and
+    # NotPositiveDefinite after name where lambda_min underflows to 0.
     vals = _unscale(spec.eigenvalues, exp)
     _require_positive_definite(vals, name)
     return float(vals[-1] / vals[0]), float(vals[-1])

@@ -27,11 +27,12 @@ from .densemat import (
     sym_eig,
     _kappa_and_norm,
     _norms,
+    _require_positive_definite,
     _require_square,
     _require_symmetric,
     _reuses_solves,
+    _spd,
     _spd_inverse,
-    _spd_spectrum,
     _unscale,
     TOL_PD,
 )
@@ -488,7 +489,7 @@ def check_inv_lemma(a, b, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
 
 
 def _inverse_and_norm(a) -> tuple[np.ndarray, float]:
-    # spd_inverse(a) and ||a^-1||_op = 2^-k / lambda_min(a / 2^k), read off
+    # spd_inverse(a) and ||a^-1||_op = 4^-j / lambda_min(a / 4^j), read off
     # the spectrum the inverse was built from.
     inverse, vals, exp = _spd_inverse(a)
     return inverse, float(_unscale(1.0 / vals[:1], -exp)[0])
@@ -531,7 +532,10 @@ def check_kappa_growth(m, e, epsilon: float) -> BoundReport:
     mat, pert = _symmetric_pair(m, e)
     _require_positive_epsilon(epsilon)
     pert = _unit_direction(pert)
-    vals = _spd_spectrum(mat, "M").eigenvalues
+    # Unscaled and re-gated as in _kappa_and_norm: lambda_min = 0 raises here.
+    _, exp, spec = _spd(mat, "M")
+    vals = _unscale(spec.eigenvalues, exp)
+    _require_positive_definite(vals, "M")
     lam_min, lam_max = float(vals[0]), float(vals[-1])
     if 1.0 / lam_min > 1.0 / (2.0 * epsilon):
         raise PreconditionViolated(
@@ -539,7 +543,7 @@ def check_kappa_growth(m, e, epsilon: float) -> BoundReport:
         )
     # eps < ||M|| follows: the gate above leaves eps <= lam_min / 2 < lam_max.
     lhs = condition_number(_perturbed(mat, pert, epsilon))
-    rhs = 4.0 * lam_max / lam_min
+    rhs = 4.0 * (lam_max / lam_min)
     return BoundReport.from_sides(lhs, rhs, NormKind.OPERATOR, True, "kappa_growth")
 
 

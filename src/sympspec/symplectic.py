@@ -25,9 +25,8 @@ from .densemat import (
     sym_eig,
     _require_square,
     _require_symmetric,
-    _rescaled,
     _reuses_solves,
-    _spd_spectrum,
+    _spd,
     _unscale,
 )
 from .errors import (
@@ -90,13 +89,12 @@ def _even_dim(m: np.ndarray) -> int:
 
 def _scaled_spd(m, name: str = "") -> tuple[np.ndarray, int, int, Spectrum]:
     # (M / 4^j, n, 2j, spectrum of M / 4^j) for a symmetric positive definite
-    # M of dimension 2n; NotPositiveDefinite names M's own eigenvalue. j is 0
-    # unless M's entries are extreme; S is the same at M / 4^j, and the
+    # M of dimension 2n, from densemat._spd. S is the same at M / 4^j, and the
     # symplectic spectrum is d / 4^j exactly, since M^{1/2} scales by 2^-j.
     mat = _require_symmetric(_require_square(as_matrix(m)))
     n = _even_dim(mat)
-    mat, exp = _rescaled(mat, even=True)
-    return mat, n, exp, _spd_spectrum(mat, name, exp)
+    mat, exp, spec = _spd(mat, name)
+    return mat, n, exp, spec
 
 
 def is_symplectic(s, tol: float = RESIDUAL_TOL) -> bool:

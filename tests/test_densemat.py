@@ -515,8 +515,10 @@ def _reference_symmetrize(a):
 
 
 def _reference_exponent(m):
-    # The rescale rule restated: 0 inside [2^-256, 2^256] or for a zero m,
-    # else the binary exponent of the largest entry magnitude.
+    # An independent rescale rule: 0 inside [2^-256, 2^256] or for a zero m,
+    # else the binary exponent of the largest entry magnitude, odd or even.
+    # The library rounds that exponent up to an even one; Jacobi commutes
+    # with powers of two, so the two rules must give the same bits.
     amax = float(np.max(np.abs(m))) if m.size else 0.0
     if amax == 0.0 or 2.0 ** -256 <= amax <= 2.0 ** 256:
         return 0
@@ -571,6 +573,16 @@ def _reference_norm(a, kind):
     return float(np.sum(s))
 
 
+def _reference_spd_inverse(a):
+    # spd_inverse restated: invert the rescaled matrix from its eigenpairs,
+    # then scale back.
+    m = _reference_symmetrize(a)
+    exp = _reference_exponent(m)
+    vals, vecs = _reference_sym_eig(np.ldexp(m, -exp))
+    w = (vecs / vals) @ vecs.T
+    return np.ldexp((w + w.T) / 2.0, -exp)
+
+
 def _parity_cases():
     rng = np.random.default_rng(56)
     cases = [a for a, _ in _jacobi_cases()]
@@ -582,9 +594,10 @@ def _parity_cases():
     a = random_spd_generic(rng, 5)
     a[0, 3] += 1e-14 * float(np.max(np.abs(a)))
     cases += [a, np.asfortranarray(a)]
-    # power-of-two scales, past the window and at the top of the range
+    # power-of-two scales, past the window and at the top of the range; the
+    # largest entry's binary exponent is odd at 2^+-600 and even at 2^+-601
     m = random_spd_generic(rng, 6)
-    cases += [np.ldexp(m, 600), np.ldexp(m, -600)]
+    cases += [np.ldexp(m, k) for k in (600, -600, 601, -601)]
     q = random_orthogonal(rng, 3)
     cases.append(np.ldexp((q * np.array([0.3, 0.5, 0.9])) @ q.T, 1023))
     cases += [np.zeros((0, 0)), np.array([[3.0]]), np.array([[-2.0]])]
@@ -627,7 +640,7 @@ def test_symmetrization_halves_only_the_entries_whose_sum_overflows():
 
 
 def test_call_path_matches_reference_bitwise():
-    from sympspec.densemat import _require_symmetric
+    from sympspec.densemat import TOL_PD, _require_symmetric
 
     for a in _parity_cases():
         a_before = a.copy()
@@ -640,6 +653,13 @@ def test_call_path_matches_reference_bitwise():
         assert _hex(singular_values(a)) == _hex(_reference_singular_values(a))
         for kind in NormKind:
             assert norm(a, kind).hex() == _reference_norm(a, kind).hex()
+        if vals.size and vals[0] > TOL_PD * float(np.max(np.abs(vals))):
+            assert _hex(spd_inverse(a)) == _hex(_reference_spd_inverse(a))
+            assert condition_number(a).hex() == float(vals[-1] / vals[0]).hex()
+        else:
+            for fn in (spd_inverse, condition_number):
+                with pytest.raises(NotPositiveDefinite):
+                    fn(a)
         assert a.tobytes() == a_before.tobytes()
 
 

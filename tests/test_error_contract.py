@@ -260,9 +260,16 @@ def test_not_positive_definite_names_the_inputs_own_eigenvalue(name, exp, smalle
         POSITIVE_DEFINITE_GATES[name](m, np.eye(4))
 
 
-@pytest.mark.parametrize("call", [densemat.spd_inverse, symplectic.williamson])
+@pytest.mark.parametrize("call", [
+    densemat.spd_inverse,
+    symplectic.williamson,
+    densemat.condition_number,
+    pytest.param(lambda m: perturb.check_kappa_growth(m, _I2, 1e-3), id="check_kappa_growth"),
+])
 def test_smallest_eigenvalue_past_the_largest_float_is_named_without_overflow(call):
-    # The eigenvalues are 0 and -3.4e308; the gate runs on M / 2^1024.
+    # The eigenvalues are 0 and -3.4e308; the gate runs on M / 2^1024, so it
+    # raises NotPositiveDefinite before -3.4e308 is scaled back past the
+    # largest float, where NonFinite would be raised.
     m = np.array([[-_H, _H], [_H, -_H]])
     with pytest.raises(NotPositiveDefinite, match=r"eigenvalue -1\.\d{6}e\+00 \* 2\^1024 is not"):
         call(m)

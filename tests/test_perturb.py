@@ -467,6 +467,12 @@ class TestKappaGrowth:
         with pytest.raises(PreconditionViolated, match="exceeds 1/\\(2 eps\\)"):
             check_kappa_growth(np.diag([0.1, 1.0]), np.eye(2), 0.1)
 
+    def test_rhs_is_finite_where_four_lambda_max_is_not(self):
+        # kappa(M) = 1, so rhs = 4 kappa(M) = 4, although 4 * lambda_max
+        # passes the largest float.
+        r = check_kappa_growth(1e308 * np.eye(2), np.eye(2), 1e-3)
+        assert (r.lhs, r.rhs, r.holds) == (1.0, 4.0, True)
+
 
 class TestEigvecBound:
     def test_zero_epsilon(self):

@@ -20,7 +20,7 @@ from sympspec.densemat import (
     _kappa_and_norm,
     _reuses_solves,
 )
-from sympspec.errors import ConvergenceFailure, NotPositiveDefinite, SympspecError
+from sympspec.errors import ConvergenceFailure, NonFinite, NotPositiveDefinite, SympspecError
 from sympspec.gaussian import (
     GaussianState,
     entanglement_entropy,
@@ -198,22 +198,52 @@ def test_handed_over_spectrum_gives_the_bits_of_a_fresh_solve(scale):
 
 _EDGES = {
     # Entries below 2^1023, lambda_max = 7.3 * 2^1022 past the largest float.
-    "NonFinite": (np.full((4, 4), 1.8) + 0.1 * np.eye(4)) * 2.0**1022,
+    "NonFinite": (
+        (np.full((4, 4), 1.8) + 0.1 * np.eye(4)) * 2.0**1022,
+        "result 1.8250000000000002 * 2^1024 exceeds the largest float",
+    ),
     # Solved at M / 4^j the spectrum passes the positive-definiteness gate,
     # but M's smallest eigenvalue, about 0.497 * 2^-1074, rounds to 0.
-    "NotPositiveDefinite": np.kron(np.eye(2), np.array([[100.0, 99.0], [99.0, 99.0]]) * 2.0**-1074),
+    "NotPositiveDefinite": (
+        np.kron(np.eye(2), np.array([[100.0, 99.0], [99.0, 99.0]]) * 2.0**-1074),
+        "smallest eigenvalue 0.000000e+00 is not positive",
+    ),
 }
 
 
 @pytest.mark.parametrize("error", list(_EDGES))
 def test_handed_over_spectrum_raises_as_a_fresh_solve(error):
-    m = _EDGES[error]
+    # Every reader of kappa(M) or lambda_max(M) raises one error with one
+    # text, whichever exponent its solve was rescaled by. A lambda_min that
+    # rounds to 0 raises before check_kappa_growth divides by it.
+    m, text = _EDGES[error]
     assert _fresh_kappa_and_norm(m) == error
     assert _handed_over_kappa_and_norm(m) == error
-    for call in (lambda: bound_spectrum(m, m), lambda: PerturbationCase(m, np.eye(4), 1e-3)):
+    calls = [
+        lambda: condition_number(m),
+        lambda: _kappa_and_norm(*_symplectic_spectrum(m)[1:]),
+        lambda: check_kappa_growth(m, np.eye(4), 1e-3),
+        lambda: bound_spectrum(m, m),
+        lambda: PerturbationCase(m, np.eye(4), 1e-3),
+    ]
+    if error == "NonFinite":
+        calls.append(lambda: sym_eig(m))
+    for call in calls:
         with pytest.raises(SympspecError) as raised:
             call()
         assert type(raised.value).__name__ == error
+        assert text in str(raised.value)
+
+
+def test_a_value_past_the_largest_float_is_written_with_one_mantissa():
+    # The inverse of the NotPositiveDefinite edge, built at A * 4^533, passes
+    # the largest float; its text reads y * 2^k with 1 <= y < 2, whatever
+    # exponent the rescale used.
+    m = _EDGES["NotPositiveDefinite"][0]
+    for call in (lambda: spd_inverse(m), lambda: check_inv_lemma(m, m)):
+        with pytest.raises(NonFinite) as raised:
+            call()
+        assert str(raised.value) == "result 1.0101010101010086 * 2^1074 exceeds the largest float"
 
 
 def _two_mode_pair():

@@ -59,6 +59,10 @@ class PairingFailure(SympspecError):
     """Eigenspace pairing broke down while assembling a symplectic basis."""
 
 
+class InvariantViolation(SympspecError):
+    """A computed symplectic spectrum broke an invariant of its matrix."""
+
+
 class DegenerateSpectrum(SympspecError):
     pass
 

@@ -32,6 +32,7 @@ from .densemat import (
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
+    InvariantViolation,
     NonFinite,
     OddDimension,
     PairingFailure,
@@ -43,6 +44,9 @@ GROUP_TOL = 1e-8          # relative eigenvalue grouping
 SEED_MIN_NORM = 1e-6      # reject seeds this close to the span already chosen
 PAIR_TOL = 1e-8           # |d_eig * ||B x|| - 1| beyond this signals breakdown
 GAP_TOL_FACTOR = 1e-8     # nondegeneracy gate for gauge alignment, times d_1
+INVARIANT_TOL = 100.0     # spectrum invariants' tolerance, times 2n * eps * kappa(M)
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,9 @@ def symplectic_spectrum(m) -> np.ndarray:
     """Descending symplectic eigenvalues of a positive definite matrix.
 
     Computed as the singular values of M^{1/2} sigma M^{1/2}, which come in
-    coincident pairs; each pair is collapsed to its mean.
+    coincident pairs; each pair is collapsed to its mean. Raises
+    InvariantViolation when the result breaks the interval, determinant or
+    trace invariant of M (README, Numerical notes).
     """
     return _symplectic_spectrum(m)[0]
 
@@ -135,7 +141,54 @@ def _symplectic_spectrum(m) -> tuple[np.ndarray, Spectrum, int]:
     root = psd_sqrt(mat)
     sigma = standard_form(n)
     s = singular_values(root @ sigma @ root)
-    return _unscale((s[0::2] + s[1::2]) / 2.0, exp), spec, exp
+    d = (s[0::2] + s[1::2]) / 2.0
+    _check_invariants(d, spec)
+    return _unscale(d, exp), spec, exp
+
+
+def _check_invariants(d: np.ndarray, spec: Spectrum) -> None:
+    # Raise InvariantViolation unless the symplectic spectrum d of a positive
+    # definite M meets three facts about M's ascending spectrum lambda in
+    # spec, both at the scale M / 4^j; no solve.
+    # - interval: lambda_min <= d_j <= lambda_max, from lambda_min I <= M <=
+    #   lambda_max I, Loewner monotonicity and d(cI) = c (Bhatia & Jain,
+    #   J. Math. Phys. 56, 2015);
+    # - determinant: prod d_j^2 = det M = prod lambda_i, since det S = 1;
+    # - trace: 2 sum d_j <= tr M, the S = I case of min tr(S^T M S) = 2 sum d_j
+    #   over symplectic S (Hiroshima, Phys. Rev. A 73, 2006).
+    # Each defect is relative (the determinant's is a difference of logs)
+    # and fails past tol = INVARIANT_TOL * 2n * eps * kappa(M), a measured
+    # tolerance, not a proved one.
+    # Python floats: n is small, and a call stays a few microseconds.
+    lam = spec.eigenvalues.tolist()
+    ds = d.tolist()
+    lo, hi = lam[0], lam[-1]
+    tol = INVARIANT_TOL * len(lam) * _EPS * (hi / lo)
+    d_min, d_max = min(ds), max(ds)
+    defect = max((lo - d_min) / lo, (d_max - hi) / hi)
+    # not (defect <= tol), so that a NaN fails too
+    if not (d_min > 0.0 and defect <= tol):
+        why = "" if d_min > 0.0 else " (smallest d not positive)"
+        raise InvariantViolation(
+            f"interval invariant broken{why}: defect {defect:.3e}, tolerance {tol:.3e}"
+        )
+    # Logs of values divided by the power of two below lambda_max, which is
+    # exact, stay below log(2 kappa) in magnitude, so they round to far
+    # below tol whatever the scale of M.
+    e = math.frexp(hi)[1]
+    defect = abs(
+        2.0 * math.fsum(math.log(math.ldexp(x, -e)) for x in ds)
+        - math.fsum(math.log(math.ldexp(x, -e)) for x in lam)
+    )
+    if not defect <= tol:
+        raise InvariantViolation(
+            f"determinant invariant broken: defect {defect:.3e}, tolerance {tol:.3e}"
+        )
+    defect = 2.0 * math.fsum(ds) / math.fsum(lam) - 1.0
+    if not defect <= tol:
+        raise InvariantViolation(
+            f"trace invariant broken: defect {defect:.3e}, tolerance {tol:.3e}"
+        )
 
 
 def _group_by_relative_gap(vals: np.ndarray, rel_tol: float) -> list[list[int]]:
@@ -273,6 +326,7 @@ def _williamson_core(scaled) -> tuple[np.ndarray, np.ndarray]:
 
     # d already descends: the groups ascend in 1/d and are GROUP_TOL apart.
     d = np.asarray(ds)
+    _check_invariants(d, spec)
     k = np.column_stack(xs + ys)
     ortho_defect = _orthogonality_defect(k)
     if ortho_defect > RESIDUAL_TOL:
@@ -291,7 +345,8 @@ def williamson(m) -> WilliamsonFactorization:
     orthogonal basis paired from the eigenspaces of the antisymmetric kernel
     B = M^{-1/2} sigma M^{-1/2} (via its symmetric doubled embedding). The
     gauge (choice of K on degenerate eigenspaces) is fixed deterministically
-    by canonical-basis seeds.
+    by canonical-basis seeds. d passes the invariant checks of
+    ``symplectic_spectrum`` before S is formed.
     """
     mat, n, exp, _ = scaled = _scaled_spd(m)
     s, d = _williamson_core(scaled)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_orthogonal, random_spd, random_spd_generic, williamson_form
+from jacobi_reference import jacobi_kernel_loop
 from sympspec.densemat import (
     JACOBI_MAX_SWEEPS,
     JACOBI_OFF_TOL,
@@ -446,14 +447,14 @@ def _antisymmetric_kernel(m):
 def test_jacobi_kernel_matches_loop_bitwise():
     # The row-slice kernel sym_eig runs must give the bytes of the
     # per-element loop kernel, the plain statement of the algorithm.
-    from sympspec.densemat import _jacobi_kernel, _jacobi_kernel_loop
+    from sympspec.densemat import _jacobi_kernel
 
     unconverged = 0
     for a, max_sweeps in _jacobi_cases():
         dim = a.shape[0]
         tol = JACOBI_OFF_TOL * float(np.sqrt(np.sum(a * a)))
         a_ref, v_ref = a.copy(), np.eye(dim)
-        ref = _jacobi_kernel_loop(a_ref, v_ref, tol, max_sweeps)
+        ref = jacobi_kernel_loop(a_ref, v_ref, tol, max_sweeps)
         unconverged += not ref[0]
         a_in = a.copy()
         w, *result = _jacobi_kernel(a_in, tol, max_sweeps)

@@ -350,9 +350,9 @@ def _spd(m: np.ndarray, name: str = "") -> tuple[np.ndarray, int, Spectrum]:
 
 
 def _require_positive_definite(vals, name: str = "", exp: int = 0) -> None:
-    # _spd's gate on the ascending eigenvalues of M / 2^exp: the smallest
-    # must clear TOL_PD relative to the largest magnitude. Only the message
-    # reads exp, to name M's own eigenvalue.
+    # The gate of _spd and _extremes on the ascending eigenvalues of
+    # M / 2^exp: the smallest must clear TOL_PD relative to the largest
+    # magnitude. Only the message reads exp, to name M's own eigenvalue.
     if vals.size == 0 or vals[0] <= TOL_PD * float(np.abs(vals).max()):
         smallest = float(vals[0]) if vals.size else math.nan
         prefix = f"{name}: " if name else ""
@@ -439,14 +439,14 @@ def identity_norm(n: int, kind: NormKind) -> float:
 def condition_number(a) -> float:
     """lambda_max / lambda_min of a symmetric positive definite matrix."""
     _, exp, spec = _spd(_require_symmetric(_require_square(as_matrix(a))))
-    return _kappa_and_norm(spec, exp)[0]
+    lam_min, lam_max = _extremes(spec, exp)
+    return lam_max / lam_min
 
 
-def _kappa_and_norm(spec: Spectrum, exp: int, name: str = "") -> tuple[float, float]:
-    # kappa(a) and ||a||_op = lambda_max of the positive definite a, read off
-    # spec, the spectrum of a / 2^exp, with the bits and errors of a solve of
-    # a itself: NonFinite where lambda_max passes the largest float, and
-    # NotPositiveDefinite after name where lambda_min underflows to 0.
+def _extremes(spec: Spectrum, exp: int, name: str = "") -> tuple[float, float]:
+    # lambda_min and lambda_max of the positive definite a off spec, the
+    # spectrum of a / 2^exp, with the bits and errors of a solve of a: NonFinite
+    # past the largest float, NotPositiveDefinite after name at lambda_min = 0.
     vals = _unscale(spec.eigenvalues, exp)
     _require_positive_definite(vals, name)
-    return float(vals[-1] / vals[0]), float(vals[-1])
+    return float(vals[0]), float(vals[-1])

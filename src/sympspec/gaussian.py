@@ -9,7 +9,6 @@ the symplectic covariance matrices, where every symplectic eigenvalue is 1.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +18,12 @@ from .densemat import (
     as_matrix,
     norm,
     _as_real,
-    _kappa_and_norm,
+    _extremes,
     _require_square,
     _require_symmetric,
 )
 from .errors import BadIndices, InvalidCovariance, NonFinite, NotInterior
-from .perturb import BoundReport, _symmetric_pair
+from .perturb import BoundReport, _index, _symmetric_pair
 from .symplectic import symplectic_spectrum, _symplectic_spectrum
 
 HEISENBERG_TOL = 1e-10   # validity: min symplectic eigenvalue >= 1 - this
@@ -85,7 +84,7 @@ def reduced_state(cov, modes) -> np.ndarray:
         raise BadIndices(f"covariance dimension {c.shape[0]} is odd")
     n = c.shape[0] // 2
     try:
-        requested = [operator.index(i) for i in modes]
+        requested = [_index(i) for i in modes]
     except TypeError as exc:
         raise BadIndices(f"mode indices must be integers: {exc}") from exc
     idx = sorted(set(requested))
@@ -160,9 +159,9 @@ def entropy_difference_bound(cov, cov2) -> BoundReport:
                 f"{rep.min_symplectic_eigenvalue:.12g}, not interior"
             )
     lhs = abs(ha.entropy - hb.entropy)
-    kappa_a, norm_a = _kappa_and_norm(spec_a, exp_a)
-    kappa_b, _ = _kappa_and_norm(spec_b, exp_b)
-    kappa_term = math.sqrt(kappa_a * kappa_b)
+    lo_a, norm_a = _extremes(spec_a, exp_a)
+    lo_b, norm_b = _extremes(spec_b, exp_b)
+    kappa_term = math.sqrt((norm_a / lo_a) * (norm_b / lo_b))
     # The max in the bound is ||g||: (||g^-1||^-1 - 1) / 2 never exceeds it.
     rhs = kappa_term * (1.0 + math.log(norm_a)) * norm(a - b, NormKind.TRACE)
     return BoundReport.from_sides(

@@ -25,9 +25,8 @@ from .densemat import (
     singular_values,
     spd_inverse,
     sym_eig,
-    _kappa_and_norm,
+    _extremes,
     _norms,
-    _require_positive_definite,
     _require_square,
     _require_symmetric,
     _reuses_solves,
@@ -121,8 +120,8 @@ class PerturbationCase:
     m: np.ndarray
     e: np.ndarray
     epsilon: float
-    # _scaled_spd's tuples for M and M + epsilon E, whose spectra the
-    # positive-definiteness checks solved; the stability checkers start there.
+    # _scaled_spd's tuples for M and M + epsilon E, whose spectra the checks
+    # solved, and M's (lambda_min, lambda_max); the stability checkers start there.
     _scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -131,14 +130,12 @@ class PerturbationCase:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "e", _unit_direction(e))
         object.__setattr__(self, "epsilon", float(self.epsilon))
-        # Each spectrum, read at its matrix's own scale, raises NonFinite where
-        # lambda_max passes the largest float and NotPositiveDefinite where
-        # lambda_min underflows to 0.
+        # Each read of a spectrum at its matrix's own scale is a gate too.
         scaled = _scaled_spd(m, "M")
-        _kappa_and_norm(scaled[3], scaled[2], "M")
+        extremes = _extremes(scaled[3], scaled[2], "M")
         scaled_eps = _scaled_spd(self.perturbed(), "M + epsilon E")
-        _kappa_and_norm(scaled_eps[3], scaled_eps[2], "M + epsilon E")
-        object.__setattr__(self, "_scaled", (scaled, scaled_eps))
+        _extremes(scaled_eps[3], scaled_eps[2], "M + epsilon E")
+        object.__setattr__(self, "_scaled", (scaled, scaled_eps, extremes))
 
     def perturbed(self) -> np.ndarray:
         return _perturbed(self.m, self.e, self.epsilon)
@@ -207,10 +204,10 @@ def _spectrum_bound(a, b, kind):
     d, spec_a, exp_a = _symplectic_spectrum(a)
     dp, spec_b, exp_b = _symplectic_spectrum(b)
     lhs = norm(np.diag(np.concatenate([d, d]) - np.concatenate([dp, dp])), kind)
-    kappa_a, na = _kappa_and_norm(spec_a, exp_a)
-    kappa_b, nb = _kappa_and_norm(spec_b, exp_b)
+    lo_a, na = _extremes(spec_a, exp_a)
+    lo_b, nb = _extremes(spec_b, exp_b)
     diff = norm(a - b, kind)
-    rhs = math.sqrt(kappa_a * kappa_b) * diff
+    rhs = math.sqrt((na / lo_a) * (nb / lo_b)) * diff
     return BoundReport.from_sides(lhs, rhs, kind, True, "spectrum"), na, nb, diff
 
 
@@ -315,12 +312,10 @@ def _signed_spectral_gap(d: np.ndarray) -> float:
 
 def _factor_pair(case: PerturbationCase):
     # williamson's S and d for M and for M + eps E, without its residual
-    # solves and from the case's spectra, then M's smallest and largest
-    # eigenvalues.
-    (s, d), (s_eps, d_eps) = map(_williamson_core, case._scaled)
-    (_, _, exp, spec), (_, _, exp_eps, _) = case._scaled
-    lam = _unscale(spec.eigenvalues, exp)
-    return (s, _unscale(d, exp)), (s_eps, _unscale(d_eps, exp_eps)), float(lam[0]), float(lam[-1])
+    # solves, then M's smallest and largest eigenvalues: all from the case.
+    scaled, scaled_eps, (lam_min, lam_max) = case._scaled
+    (s, d), (s_eps, d_eps) = map(_williamson_core, (scaled, scaled_eps))
+    return (s, _unscale(d, scaled[2])), (s_eps, _unscale(d_eps, scaled_eps[2])), lam_min, lam_max
 
 
 def bound_S(case: PerturbationCase) -> BoundReport:
@@ -532,11 +527,8 @@ def check_kappa_growth(m, e, epsilon: float) -> BoundReport:
     mat, pert = _symmetric_pair(m, e)
     _require_positive_epsilon(epsilon)
     pert = _unit_direction(pert)
-    # Unscaled and re-gated as in _kappa_and_norm: lambda_min = 0 raises here.
     _, exp, spec = _spd(mat, "M")
-    vals = _unscale(spec.eigenvalues, exp)
-    _require_positive_definite(vals, "M")
-    lam_min, lam_max = float(vals[0]), float(vals[-1])
+    lam_min, lam_max = _extremes(spec, exp, "M")
     if 1.0 / lam_min > 1.0 / (2.0 * epsilon):
         raise PreconditionViolated(
             f"||M^-1|| = {1.0 / lam_min:.6e} exceeds 1/(2 eps)"
@@ -635,9 +627,16 @@ def check_projection_bound(a, b, s1_range, s2_range) -> BoundReport:
     )
 
 
+def _index(i) -> int:
+    # operator.index(i), refusing bools: True in a NumPy-style mask is no index.
+    if isinstance(i, bool):
+        raise TypeError(f"{i!r} is a bool, not an index")
+    return operator.index(i)
+
+
 def _validate_range(idx_range, n: int, name: str) -> slice:
     try:
-        start, stop = operator.index(idx_range[0]), operator.index(idx_range[1])
+        start, stop = _index(idx_range[0]), _index(idx_range[1])
     except (TypeError, IndexError) as exc:
         raise BadIndices(f"{name} must be an integer pair (start, stop): {exc}") from exc
     if not (0 <= start < stop <= n):

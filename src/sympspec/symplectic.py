@@ -88,6 +88,8 @@ def standard_form(n: int) -> np.ndarray:
 def _even_dim(m: np.ndarray) -> int:
     if m.shape[0] % 2 != 0:
         raise OddDimension(f"dimension {m.shape[0]} is odd")
+    if m.shape[0] == 0:
+        raise ZeroModes("need at least one mode, got n=0")
     return m.shape[0] // 2
 
 
@@ -133,9 +135,9 @@ def symplectic_spectrum(m) -> np.ndarray:
 @_reuses_solves
 def _symplectic_spectrum(m) -> tuple[np.ndarray, Spectrum, int]:
     # symplectic_spectrum(m), the spectrum of M / 4^j that its positive-
-    # definiteness check solved, and 2j; densemat._kappa_and_norm reads
-    # kappa(M) and ||M||_op off the last two. psd_sqrt solves the same
-    # matrix again.
+    # definiteness check solved, and 2j; densemat._extremes reads
+    # lambda_min(M) and lambda_max(M) off the last two. psd_sqrt solves the
+    # same matrix again.
     mat, n, exp, spec = _scaled_spd(m)
     # At the scale of M / 4^j no pair sum below overflows.
     root = psd_sqrt(mat)

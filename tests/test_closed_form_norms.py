@@ -21,7 +21,7 @@ from sympspec.densemat import (
     norm,
     spd_inverse,
     sym_eig,
-    _kappa_and_norm,
+    _extremes,
 )
 from sympspec.errors import SympspecError
 from sympspec.gaussian import entanglement_entropy, entropy_difference_bound
@@ -66,7 +66,7 @@ def test_closed_forms_match_solved_norms(i):
         vals = sym_eig(m).eigenvalues
         op_norm = norm(m, NormKind.OPERATOR)
         assert _rel(float(vals[-1]), op_norm) <= 1e-13
-        assert _rel(_kappa_and_norm(*_symplectic_spectrum(m)[1:])[1], op_norm) <= 1e-13
+        assert _rel(_extremes(*_symplectic_spectrum(m)[1:])[1], op_norm) <= 1e-13
         inv_norm = norm(spd_inverse(m), NormKind.OPERATOR)
         assert _rel(1.0 / float(vals[0]), inv_norm) <= 1e-13
         assert _rel(perturb._inverse_and_norm(m)[1], inv_norm) <= 1e-13

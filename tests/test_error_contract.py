@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from sympspec import cli, densemat, gaussian, perturb, symplectic
 from sympspec.densemat import NormKind
-from sympspec.errors import NonFinite, NotPositiveDefinite, SympspecError
+from sympspec.errors import BadIndices, NonFinite, NotPositiveDefinite, SympspecError, ZeroModes
 
 CONTRACT = settings(
     derandomize=True,
@@ -273,6 +273,48 @@ def test_smallest_eigenvalue_past_the_largest_float_is_named_without_overflow(ca
     m = np.array([[-_H, _H], [_H, -_H]])
     with pytest.raises(NotPositiveDefinite, match=r"eigenvalue -1\.\d{6}e\+00 \* 2\^1024 is not"):
         call(m)
+
+
+# Every public entry that reads a 2n x 2n matrix as n modes, on n = 0.
+_Z = np.zeros((0, 0))
+ZERO_MODE_CALLS = {
+    "symplectic_spectrum": lambda: symplectic.symplectic_spectrum(_Z),
+    "williamson": lambda: symplectic.williamson(_Z),
+    "is_symplectic": lambda: symplectic.is_symplectic(_Z),
+    "symplectic_inverse": lambda: symplectic.symplectic_inverse(_Z),
+    "entanglement_entropy": lambda: gaussian.entanglement_entropy(_Z),
+    "validate_covariance": lambda: gaussian.validate_covariance(_Z),
+    "is_pure": lambda: gaussian.is_pure(_Z),
+    "GaussianState.create": lambda: gaussian.GaussianState.create(_Z),
+    "bound_spectrum": lambda: perturb.bound_spectrum(_Z, _Z),
+    "bound_bhatia_jain": lambda: perturb.bound_bhatia_jain(_Z, _Z),
+    "entropy_difference_bound": lambda: gaussian.entropy_difference_bound(_Z, _Z),
+}
+
+
+@pytest.mark.parametrize("name", list(ZERO_MODE_CALLS))
+def test_zero_modes_raise_zero_modes(name):
+    with pytest.raises(ZeroModes, match="need at least one mode, got n=0"):
+        ZERO_MODE_CALLS[name]()
+
+
+# A bool is an int to operator.index, but [True, False] is a NumPy-style mask.
+BOOL_INDEX_CALLS = {
+    "reduced_state": lambda: gaussian.reduced_state(np.eye(4), [True, False]),
+    "reduced_state True": lambda: gaussian.reduced_state(np.eye(4), [True]),
+    "check_projection_bound s1": lambda: perturb.check_projection_bound(
+        np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([1.0, 2.0, 3.0, 4.1]), (False, True), (2, 4)
+    ),
+    "check_projection_bound s2": lambda: perturb.check_projection_bound(
+        np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([1.0, 2.0, 3.0, 4.1]), (0, 1), (True, 4)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BOOL_INDEX_CALLS))
+def test_bool_indices_raise_bad_indices(name):
+    with pytest.raises(BadIndices, match="is a bool, not an index"):
+        BOOL_INDEX_CALLS[name]()
 
 
 MALFORMED_FILES = ("", "\n", "1 2\n3\n", "# 2 2\n1 0\n", "x y\n", "# a b\n1\n", "1 nan\n")

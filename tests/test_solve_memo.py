@@ -1,13 +1,14 @@
 """The call-scoped eigensolve memo: fewer Jacobi runs, the same bits."""
 
 import io
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import as_hex, random_spd, random_symmetric_unit, williamson_form
-from sympspec import cli, densemat
+from sympspec import cli, densemat, perturb
 from sympspec.densemat import (
     NormKind,
     Spectrum,
@@ -17,7 +18,7 @@ from sympspec.densemat import (
     singular_values,
     spd_inverse,
     sym_eig,
-    _kappa_and_norm,
+    _extremes,
     _reuses_solves,
 )
 from sympspec.errors import ConvergenceFailure, NonFinite, NotPositiveDefinite, SympspecError
@@ -168,13 +169,20 @@ def _outcome(call):
         return type(exc).__name__
 
 
-def _fresh_kappa_and_norm(m):
-    # kappa(M) and ||M||_op = lambda_max(M) from solves of M itself.
-    return _outcome(lambda: (condition_number(m), float(sym_eig(m).eigenvalues[-1])))
+def _solved_extremes(m):
+    # lambda_min(M) and lambda_max(M) from a solve of M itself, after
+    # condition_number's positive-definiteness gate.
+    condition_number(m)
+    vals = sym_eig(m).eigenvalues
+    return float(vals[0]), float(vals[-1])
 
 
-def _handed_over_kappa_and_norm(m):
-    return _outcome(lambda: _kappa_and_norm(*_symplectic_spectrum(m)[1:]))
+def _fresh_extremes(m):
+    return _outcome(lambda: _solved_extremes(m))
+
+
+def _handed_over_extremes(m):
+    return _outcome(lambda: _extremes(*_symplectic_spectrum(m)[1:]))
 
 
 _HANDOVER_SCALES = (
@@ -184,16 +192,32 @@ _HANDOVER_SCALES = (
 
 @pytest.mark.parametrize("scale", _HANDOVER_SCALES, ids=float.hex)
 def test_handed_over_spectrum_gives_the_bits_of_a_fresh_solve(scale):
-    # _symplectic_spectrum solves M / 4^j; read with its exponent 2j, that
-    # spectrum gives kappa(M) and ||M||_op bit for bit.
+    # _symplectic_spectrum and PerturbationCase solve M / 4^j; read with the
+    # exponent 2j, that spectrum gives lambda_min(M) and lambda_max(M) bit
+    # for bit, and so does every reader of them. M' is M with its rows and
+    # columns reversed: the same eigenvalues, solved afresh.
     rng = np.random.default_rng(2101)
     for i in range(12):
         kappa = 10.0 ** rng.uniform(0.0, 6.0)
         top = 10.0 ** rng.uniform(-1.0, 0.5)
         m = random_spd(rng, 2 + 2 * (i % 4), kappa, top / kappa) * scale
-        want = _fresh_kappa_and_norm(m)
+        mp = m[::-1, ::-1].copy()
+        want = _fresh_extremes(m)
         assert not isinstance(want, str)
-        assert _handed_over_kappa_and_norm(m) == want
+        assert _handed_over_extremes(m) == want
+        (lo, hi), (lo_p, hi_p) = _solved_extremes(m), _solved_extremes(mp)
+        kappa_m, kappa_p = hi / lo, hi_p / lo_p
+        assert as_hex(condition_number(m)) == as_hex(kappa_m)
+        report, na, nb, diff = perturb._spectrum_bound(m, mp, NormKind.OPERATOR)
+        assert as_hex([na, nb, report.rhs]) == as_hex([hi, hi_p, math.sqrt(kappa_m * kappa_p) * diff])
+        eye = np.eye(m.shape[0])
+        assert as_hex(check_kappa_growth(m, eye, lo / 4.0).rhs) == as_hex(4.0 * kappa_m)
+        case = PerturbationCase(m, eye, lo / 4.0)
+        assert as_hex(perturb._factor_pair(case)[2:]) == as_hex([lo, hi])
+        # A covariance is interior only with every d above 1, and d >= lambda_min.
+        if min(lo, lo_p) > 2.0:
+            rhs = math.sqrt(kappa_m * kappa_p) * (1.0 + math.log(hi)) * norm(m - mp, NormKind.TRACE)
+            assert as_hex(entropy_difference_bound(m, mp).rhs) == as_hex(rhs)
 
 
 _EDGES = {
@@ -217,17 +241,20 @@ def test_handed_over_spectrum_raises_as_a_fresh_solve(error):
     # text, whichever exponent its solve was rescaled by. A lambda_min that
     # rounds to 0 raises before check_kappa_growth divides by it.
     m, text = _EDGES[error]
-    assert _fresh_kappa_and_norm(m) == error
-    assert _handed_over_kappa_and_norm(m) == error
+    assert _fresh_extremes(m) == error
+    assert _handed_over_extremes(m) == error
     calls = [
         lambda: condition_number(m),
-        lambda: _kappa_and_norm(*_symplectic_spectrum(m)[1:]),
+        lambda: _extremes(*_symplectic_spectrum(m)[1:]),
         lambda: check_kappa_growth(m, np.eye(4), 1e-3),
         lambda: bound_spectrum(m, m),
         lambda: PerturbationCase(m, np.eye(4), 1e-3),
+        lambda: bound_gram(PerturbationCase(m, np.eye(4), 1e-3)),
     ]
+    # At the NotPositiveDefinite edge every d is far below 1, so
+    # entropy_difference_bound raises InvalidCovariance before its reader.
     if error == "NonFinite":
-        calls.append(lambda: sym_eig(m))
+        calls += [lambda: sym_eig(m), lambda: entropy_difference_bound(m, m)]
     for call in calls:
         with pytest.raises(SympspecError) as raised:
             call()

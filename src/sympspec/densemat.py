@@ -123,14 +123,17 @@ def _jacobi_kernel(a, off_tol, max_sweeps):
     # Python floats; the products are the same float64 products.
     n = a.shape[0]
     skip = off_tol / (2.0 * n)
-    w = np.concatenate((a, np.eye(n)), axis=1)
+    w = np.zeros((n, 2 * n))
     wa = w[:, :n]
+    wa[...] = a
+    # v = I: entry (i, n + i) of the C-contiguous w
+    w.ravel()[n :: 2 * n + 1] = 1.0
     rows = list(w)
     arows = list(wa)
     acols = list(wa.T)
     dg = wa.diagonal().tolist()
     r = np.arange(n)
-    upper = np.less.outer(r, r)
+    upper = r[:, None] < r
     pq = np.empty((2, 2 * n))
     sc = np.empty((2, 2 * n))
     bp, bq = pq
@@ -177,7 +180,8 @@ def _jacobi_kernel(a, off_tol, max_sweeps):
     else:
         converged = bool(math.sqrt(_off_norm2_in_order(wa, upper)) <= off_tol)
         sweeps = max_sweeps
-    wa[r, r] = dg
+    # the diagonal of wa: entry (i, i) of the C-contiguous w
+    w.ravel()[: 2 * n * n : 2 * n + 1] = dg
     return w, converged, sweeps
 
 
@@ -201,7 +205,7 @@ def as_matrix(a) -> np.ndarray:
     m = _as_real(a)
     if m.ndim != 2:
         raise NotSquare(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise NonFinite("matrix contains NaN or Inf entries")
     return m
 
@@ -225,11 +229,13 @@ def _midpoint(a, b, amax: float) -> np.ndarray:
 
 
 def _require_symmetric(m: np.ndarray) -> np.ndarray:
-    # A fresh symmetric array: a copy of m when m equals m.T bit for bit,
-    # which is the midpoint's bits too (every internal caller passes such an
-    # m). Bits, not values: -0.0 == +0.0, but their midpoint is +0.0.
+    # m itself, uncopied, when m equals m.T bit for bit, which is the
+    # midpoint's bits too (every internal caller passes such an m); else the
+    # midpoint, a fresh array. Bits, not values: -0.0 == +0.0, but their
+    # midpoint is +0.0. No caller writes the result; one that keeps it
+    # copies it.
     if m.tobytes() == m.T.tobytes():
-        return m.copy()
+        return m
     # Scale by the largest entry magnitude; cheap and never looser than an
     # operator-norm scale. Past _HALF_MAX, m - m.T may overflow to inf,
     # which fails the gate as it should.
@@ -266,7 +272,7 @@ def _rescaled(m: np.ndarray) -> tuple[np.ndarray, int]:
     # neither overflow nor underflow; otherwise e is the even exponent that
     # brings it into [1/4, 1). Scaling by a power of two is exact, and Jacobi
     # commutes with it bit for bit.
-    amax = float(np.abs(m).max()) if m.size else 0.0
+    amax = float(np.maximum.reduce(np.abs(m), axis=None)) if m.size else 0.0
     if amax == 0.0 or 2.0 ** -256 <= amax <= 2.0 ** 256:
         return m, 0
     e = 2 * math.ceil(math.frexp(amax)[1] / 2)
@@ -305,6 +311,8 @@ def sym_eig(a) -> Spectrum:
     solve a matrix more than once, repeats return copies of the first
     solve, which are the same bits.
     """
+    # The kernel and everything below leave m unwritten, so a bit-symmetric
+    # input is solved uncopied, in whatever layout it comes.
     m = _require_symmetric(_require_square(as_matrix(a)))
     n = m.shape[0]
     if n == 0:
@@ -317,7 +325,8 @@ def sym_eig(a) -> Spectrum:
             memo.move_to_end(key)
             return Spectrum(eigenvalues=hit[0].copy(), eigenvectors=hit[1].copy())
     work, exp = _rescaled(m)
-    off_tol = JACOBI_OFF_TOL * float(np.sqrt(np.sum(work * work)))
+    # np.sum's pairwise order over the C-order squares, in one ufunc call
+    off_tol = JACOBI_OFF_TOL * math.sqrt(np.add.reduce((work * work).ravel()))
     w, converged, _ = _jacobi_kernel(work, off_tol, JACOBI_MAX_SWEEPS)
     if not converged:
         raise ConvergenceFailure(
@@ -352,8 +361,9 @@ def _spd(m: np.ndarray, name: str = "") -> tuple[np.ndarray, int, Spectrum]:
 def _require_positive_definite(vals, name: str = "", exp: int = 0) -> None:
     # The gate of _spd and _extremes on the ascending eigenvalues of
     # M / 2^exp: the smallest must clear TOL_PD relative to the largest
-    # magnitude. Only the message reads exp, to name M's own eigenvalue.
-    if vals.size == 0 or vals[0] <= TOL_PD * float(np.abs(vals).max()):
+    # magnitude, which is at one end of the ascending vals. Only the message
+    # reads exp, to name M's own eigenvalue.
+    if vals.size == 0 or vals[0] <= TOL_PD * max(abs(float(vals[0])), abs(float(vals[-1]))):
         smallest = float(vals[0]) if vals.size else math.nan
         prefix = f"{name}: " if name else ""
         shown = _times_two_to(smallest, exp, ".6e")
@@ -368,7 +378,8 @@ def psd_sqrt(a) -> np.ndarray:
     """
     spec = sym_eig(a)
     vals, vecs = spec.eigenvalues, spec.eigenvectors
-    scale = float(np.abs(vals).max()) if vals.size else 0.0
+    # the largest magnitude is at one end of the ascending vals
+    scale = max(abs(float(vals[0])), abs(float(vals[-1]))) if vals.size else 0.0
     if vals.size and vals[0] < -TOL_PSD * scale:
         raise NotPSD(f"eigenvalue {vals[0]:.6e} below -{TOL_PSD:.1e} * {scale:.6e}")
     root = np.sqrt(vals.clip(0.0))

@@ -57,7 +57,8 @@ class GaussianState:
             raise BadIndices(f"mean must have length {2 * n}, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise NonFinite("mean contains NaN or Inf entries")
-        return cls(cov=c, mean=m, n_modes=n, valid=check.valid, min_d=check.min_d)
+        # The state keeps its own copy of the covariance, never the caller's array.
+        return cls(cov=c.copy(), mean=m, n_modes=n, valid=check.valid, min_d=check.min_d)
 
 
 def validate_covariance(cov) -> CovarianceValidity:

@@ -127,6 +127,8 @@ class PerturbationCase:
     def __post_init__(self):
         m, e = _symmetric_pair(self.m, self.e)
         _require_positive_epsilon(self.epsilon)
+        # The case keeps M, so it keeps its own copy, never the caller's array.
+        m = m.copy()
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "e", _unit_direction(e))
         object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -636,9 +638,12 @@ def _index(i) -> int:
 
 def _validate_range(idx_range, n: int, name: str) -> slice:
     try:
+        items = len(idx_range)
         start, stop = _index(idx_range[0]), _index(idx_range[1])
     except (TypeError, IndexError) as exc:
         raise BadIndices(f"{name} must be an integer pair (start, stop): {exc}") from exc
+    if items != 2:
+        raise BadIndices(f"{name} must be an integer pair (start, stop), got {items} items")
     if not (0 <= start < stop <= n):
         raise BadIndices(f"{name}=({start}, {stop}) is not a valid range for n={n}")
     return slice(start, stop)

@@ -608,6 +608,12 @@ def _parity_cases():
         np.array([[2.0, -1.0], [-1.0, 2.0]]),
         np.ones((4, 4)) - 2.0 * np.eye(4),
     ]
+    # bit-symmetric inputs in layouts other than C order, which sym_eig
+    # solves uncopied: Fortran order, strided and reversed views
+    s = random_spd_generic(rng, 5)
+    big = random_spd_generic(rng, 10)
+    cases += [np.asfortranarray(s), big[::2, ::2], s[::-1, ::-1]]
+    cases += [np.asfortranarray(np.ldexp(s, k)) for k in (600, -600)]
     return cases
 
 
@@ -678,8 +684,30 @@ def test_public_functions_leave_their_input_unwritten():
         williamson,
     ]
     calls += [lambda a, kind=kind: norm(a, kind) for kind in NormKind]
-    for a in (m, np.asfortranarray(m), np.ldexp(m, 600)):
+    big = random_spd_generic(np.random.default_rng(58), 8)
+    layouts = [m, np.asfortranarray(m), big[::2, ::2], m[::-1, ::-1], np.ldexp(m, 600)]
+    layouts += [np.asfortranarray(np.ldexp(m, k)) for k in (600, -600)]
+    for a in layouts:
         for fn in calls:
             before = a.copy()
             fn(a)
             assert a.tobytes() == before.tobytes()
+
+
+def test_kept_matrices_are_copies():
+    # sym_eig and the gates hand a bit-symmetric input on uncopied, so the
+    # objects that keep a matrix copy it: a later write by the caller leaves
+    # them as they were built.
+    from sympspec.gaussian import GaussianState
+    from sympspec.perturb import PerturbationCase
+
+    m = random_spd_generic(np.random.default_rng(59), 4)
+    e = np.diag([1.0, -1.0, 0.5, 0.0])
+    cov = 2.0 * np.eye(4)
+    case = PerturbationCase(m, e, 1e-3)
+    state = GaussianState.create(cov)
+    kept = (case.m.copy(), case._scaled[0][0].copy(), state.cov.copy())
+    m[0, 0] = cov[0, 0] = 99.0
+    assert case.m.tobytes() == kept[0].tobytes()
+    assert case._scaled[0][0].tobytes() == kept[1].tobytes()
+    assert state.cov.tobytes() == kept[2].tobytes()

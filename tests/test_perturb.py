@@ -531,7 +531,12 @@ class TestProjectionBound:
             r = check_projection_bound(a, b, (0, 2), (2, 4))
             assert r.holds
 
-    @pytest.mark.parametrize("s1", [(0, 1.5), ("0", "2"), (math.inf, 2), (0.0, 2.0)])
+    # The last two have integer items past the second, which are refused,
+    # not ignored.
+    @pytest.mark.parametrize(
+        "s1",
+        [(0, 1.5), ("0", "2"), (math.inf, 2), (0.0, 2.0), (0, 2, 99), np.array([0, 2, 7])],
+    )
     def test_index_range_must_be_integers(self, s1):
         a = np.diag([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(BadIndices, match="integer pair"):

@@ -210,7 +210,9 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _require_square(m: np.ndarray) -> np.ndarray:
+def _square(a) -> np.ndarray:
+    # as_matrix(a), refused unless square.
+    m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -228,12 +230,14 @@ def _midpoint(a, b, amax: float) -> np.ndarray:
     return np.where(np.isfinite(mid), mid, a / 2.0 + b / 2.0)
 
 
-def _require_symmetric(m: np.ndarray) -> np.ndarray:
-    # m itself, uncopied, when m equals m.T bit for bit, which is the
-    # midpoint's bits too (every internal caller passes such an m); else the
-    # midpoint, a fresh array. Bits, not values: -0.0 == +0.0, but their
-    # midpoint is +0.0. No caller writes the result; one that keeps it
-    # copies it.
+def _symmetric(a) -> np.ndarray:
+    # The gate of every symmetric input, run once by the public entry that
+    # takes it (sym_eig gates the matrix of each solve again): _square(a),
+    # refused past TOL_SYM. m itself, uncopied, when m equals m.T bit for
+    # bit, which is the midpoint's bits too; else the midpoint, a fresh
+    # array. Bits, not values: -0.0 == +0.0, but their midpoint is +0.0. No
+    # caller writes the result; one that keeps it copies it.
+    m = _square(a)
     if m.tobytes() == m.T.tobytes():
         return m
     # Scale by the largest entry magnitude; cheap and never looser than an
@@ -313,7 +317,7 @@ def sym_eig(a) -> Spectrum:
     """
     # The kernel and everything below leave m unwritten, so a bit-symmetric
     # input is solved uncopied, in whatever layout it comes.
-    m = _require_symmetric(_require_square(as_matrix(a)))
+    m = _symmetric(a)
     n = m.shape[0]
     if n == 0:
         return Spectrum(eigenvalues=np.zeros(0), eigenvectors=np.zeros((0, 0)))
@@ -387,11 +391,11 @@ def psd_sqrt(a) -> np.ndarray:
     return (r + r.T) / 2.0
 
 
-def _spd_inverse(a) -> tuple[np.ndarray, np.ndarray, int]:
-    # (A^-1, the ascending eigenvalues of A / 4^j it was built from, 2j).
-    # Invert A / 4^j, whose largest entry is near 1, then scale back;
-    # _unscale raises NonFinite where A^-1 passes the largest float.
-    _, exp, spec = _spd(_require_symmetric(_require_square(as_matrix(a))))
+def _spd_inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    # (M^-1, the ascending eigenvalues of M / 4^j it was built from, 2j) for
+    # a gated symmetric M, inverted at M / 4^j, whose largest entry is near 1;
+    # _unscale raises NonFinite where M^-1 passes the largest float.
+    _, exp, spec = _spd(m)
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     w = (vecs / vals) @ vecs.T
     return _unscale((w + w.T) / 2.0, -exp), vals, exp
@@ -399,13 +403,13 @@ def _spd_inverse(a) -> tuple[np.ndarray, np.ndarray, int]:
 
 def spd_inverse(a) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix."""
-    return _spd_inverse(a)[0]
+    return _spd_inverse(_symmetric(a))[0]
 
 
 def singular_values(a) -> np.ndarray:
     """Descending singular values: square roots of the eigenvalues of A^T A."""
     # numpy forms m.T @ m by a symmetric rank-k update: bit-symmetric.
-    m, exp = _rescaled(_require_square(as_matrix(a)))
+    m, exp = _rescaled(_square(a))
     vals = sym_eig(m.T @ m).eigenvalues
     return _unscale(np.sqrt(vals[::-1].clip(0.0)), exp)
 
@@ -420,7 +424,7 @@ def _norms(a, kinds) -> list[float]:
     # solve. Each total is taken at the scale where no square and no sum
     # overflows and unscaled once; the scaled matrix's singular values need
     # no rescale of their own.
-    m, exp = _rescaled(_require_square(as_matrix(a)))
+    m, exp = _rescaled(_square(a))
     s = None
     out = []
     for kind in kinds:
@@ -449,7 +453,7 @@ def identity_norm(n: int, kind: NormKind) -> float:
 
 def condition_number(a) -> float:
     """lambda_max / lambda_min of a symmetric positive definite matrix."""
-    _, exp, spec = _spd(_require_symmetric(_require_square(as_matrix(a))))
+    _, exp, spec = _spd(_symmetric(a))
     lam_min, lam_max = _extremes(spec, exp)
     return lam_max / lam_min
 

@@ -13,18 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import (
-    NormKind,
-    as_matrix,
-    norm,
-    _as_real,
-    _extremes,
-    _require_square,
-    _require_symmetric,
-)
+from .densemat import NormKind, norm, _as_real, _symmetric
 from .errors import BadIndices, InvalidCovariance, NonFinite, NotInterior
-from .perturb import BoundReport, _index, _symmetric_pair
-from .symplectic import symplectic_spectrum, _symplectic_spectrum
+from .perturb import BoundReport, _index, _spectrum_pair, _symmetric_pair
+from .symplectic import symplectic_spectrum
 
 HEISENBERG_TOL = 1e-10   # validity: min symplectic eigenvalue >= 1 - this
 PURITY_TOL = 1e-8        # pure: every symplectic eigenvalue within this of 1
@@ -49,7 +41,7 @@ class GaussianState:
 
     @classmethod
     def create(cls, cov, mean=None) -> "GaussianState":
-        c = _require_symmetric(_require_square(as_matrix(cov)))
+        c = _symmetric(cov)
         n = c.shape[0] // 2
         check = validate_covariance(c)
         m = np.zeros(2 * n) if mean is None else _as_real(mean)
@@ -57,8 +49,9 @@ class GaussianState:
             raise BadIndices(f"mean must have length {2 * n}, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise NonFinite("mean contains NaN or Inf entries")
-        # The state keeps its own copy of the covariance, never the caller's array.
-        return cls(cov=c.copy(), mean=m, n_modes=n, valid=check.valid, min_d=check.min_d)
+        # The state keeps its own copies of the covariance and the mean, never
+        # the caller's arrays.
+        return cls(cov=c.copy(), mean=m.copy(), n_modes=n, valid=check.valid, min_d=check.min_d)
 
 
 def validate_covariance(cov) -> CovarianceValidity:
@@ -80,7 +73,7 @@ def reduced_state(cov, modes) -> np.ndarray:
     ``modes`` are 0-based mode indices into a 2N-dimensional covariance in
     (q_1..q_N, p_1..p_N) ordering; the result keeps them in ascending order.
     """
-    c = _require_symmetric(_require_square(as_matrix(cov)))
+    c = _symmetric(cov)
     if c.shape[0] % 2 != 0:
         raise BadIndices(f"covariance dimension {c.shape[0]} is odd")
     n = c.shape[0] // 2
@@ -149,10 +142,8 @@ def entropy_difference_bound(cov, cov2) -> BoundReport:
     flags rather than asserts ``holds``.
     """
     a, b = _symmetric_pair(cov, cov2)
-    d, spec_a, exp_a = _symplectic_spectrum(a)
-    ha = _entropy(d)
-    dp, spec_b, exp_b = _symplectic_spectrum(b)
-    hb = _entropy(dp)
+    d, dp, norm_a, _, kappa_term = _spectrum_pair(a, b)
+    ha, hb = _entropy(d), _entropy(dp)
     for name, rep in (("first", ha), ("second", hb)):
         if rep.min_symplectic_eigenvalue < 1.0 + INTERIOR_TOL:
             raise NotInterior(
@@ -160,9 +151,6 @@ def entropy_difference_bound(cov, cov2) -> BoundReport:
                 f"{rep.min_symplectic_eigenvalue:.12g}, not interior"
             )
     lhs = abs(ha.entropy - hb.entropy)
-    lo_a, norm_a = _extremes(spec_a, exp_a)
-    lo_b, norm_b = _extremes(spec_b, exp_b)
-    kappa_term = math.sqrt((norm_a / lo_a) * (norm_b / lo_b))
     # The max in the bound is ||g||: (||g^-1||^-1 - 1) / 2 never exceeds it.
     rhs = kappa_term * (1.0 + math.log(norm_a)) * norm(a - b, NormKind.TRACE)
     return BoundReport.from_sides(

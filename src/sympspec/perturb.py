@@ -27,11 +27,11 @@ from .densemat import (
     sym_eig,
     _extremes,
     _norms,
-    _require_square,
-    _require_symmetric,
     _reuses_solves,
     _spd,
     _spd_inverse,
+    _square,
+    _symmetric,
     _unscale,
     TOL_PD,
 )
@@ -144,9 +144,10 @@ class PerturbationCase:
 
 
 def _symmetric_pair(m, mp):
-    # Two square, symmetric (symmetrized) matrices of the same shape.
-    a = _require_symmetric(_require_square(as_matrix(m)))
-    b = _require_symmetric(_require_square(as_matrix(mp)))
+    # Two gated symmetric matrices of the same shape: the one gate of every
+    # two-matrix checker, whose bodies gate no more.
+    a = _symmetric(m)
+    b = _symmetric(mp)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
     return a, b
@@ -199,18 +200,25 @@ def bound_spectrum(m, mp, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
     return _spectrum_bound(*_symmetric_pair(m, mp), kind)[0]
 
 
-def _spectrum_bound(a, b, kind):
-    # bound_spectrum's report on a symmetric pair, ||a||_op and ||b||_op from
-    # the spectra its condition numbers read (those _symplectic_spectrum
-    # hands over), and ||a - b||.
+def _spectrum_pair(a, b):
+    # The symplectic spectra d and d' of a gated symmetric pair, ||a||_op,
+    # ||b||_op and sqrt(kappa(a) kappa(b)), the last three read off the
+    # spectra that _symplectic_spectrum hands over: the start of the spectrum
+    # bound and of gaussian.entropy_difference_bound.
     d, spec_a, exp_a = _symplectic_spectrum(a)
     dp, spec_b, exp_b = _symplectic_spectrum(b)
-    lhs = norm(np.diag(np.concatenate([d, d]) - np.concatenate([dp, dp])), kind)
     lo_a, na = _extremes(spec_a, exp_a)
     lo_b, nb = _extremes(spec_b, exp_b)
+    return d, dp, na, nb, math.sqrt((na / lo_a) * (nb / lo_b))
+
+
+def _spectrum_bound(a, b, kind):
+    # bound_spectrum's report on a gated symmetric pair, ||a||_op and
+    # ||b||_op, and ||a - b||.
+    d, dp, na, nb, root_kappa = _spectrum_pair(a, b)
+    lhs = norm(np.diag(np.concatenate([d, d]) - np.concatenate([dp, dp])), kind)
     diff = norm(a - b, kind)
-    rhs = math.sqrt((na / lo_a) * (nb / lo_b)) * diff
-    return BoundReport.from_sides(lhs, rhs, kind, True, "spectrum"), na, nb, diff
+    return BoundReport.from_sides(lhs, root_kappa * diff, kind, True, "spectrum"), na, nb, diff
 
 
 def bound_bhatia_jain(m, mp) -> BoundReport:
@@ -498,8 +506,8 @@ def check_woodbury_norm(m, e, epsilon: float) -> BoundReport:
     If ||M^-1||_op <= 1/(2 eps) then ||(M + eps E)^-1||_op <= 2 ||M^-1||_op,
     with E normalized to unit operator norm.
     """
-    mat = _require_square(as_matrix(m))
-    pert = _require_square(as_matrix(e))
+    mat = _square(m)
+    pert = _square(e)
     if mat.shape != pert.shape:
         raise DimensionMismatch(f"shapes {mat.shape} and {pert.shape} differ")
     _require_positive_epsilon(epsilon)
@@ -686,7 +694,7 @@ def sweep(m, e, eps_grid, bound: str, kind: NormKind = NormKind.OPERATOR) -> Swe
         _require_finite("epsilon", eps)
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
         raise OutOfValidityRange("epsilon grid must be nonempty and strictly increasing")
-    mat = _require_square(as_matrix(m))
+    mat = _square(m)
     pert = as_matrix(e)
     if mat.shape != pert.shape:
         raise DimensionMismatch(f"shapes {mat.shape} and {pert.shape} differ")

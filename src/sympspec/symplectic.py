@@ -18,15 +18,14 @@ import numpy as np
 from .densemat import (
     NormKind,
     Spectrum,
-    as_matrix,
     norm,
     psd_sqrt,
     singular_values,
     sym_eig,
-    _require_square,
-    _require_symmetric,
     _reuses_solves,
     _spd,
+    _square,
+    _symmetric,
     _unscale,
 )
 from .errors import (
@@ -93,13 +92,13 @@ def _even_dim(m: np.ndarray) -> int:
     return m.shape[0] // 2
 
 
-def _scaled_spd(m, name: str = "") -> tuple[np.ndarray, int, int, Spectrum]:
-    # (M / 4^j, n, 2j, spectrum of M / 4^j) for a symmetric positive definite
-    # M of dimension 2n, from densemat._spd. S is the same at M / 4^j, and the
-    # symplectic spectrum is d / 4^j exactly, since M^{1/2} scales by 2^-j.
-    mat = _require_symmetric(_require_square(as_matrix(m)))
-    n = _even_dim(mat)
-    mat, exp, spec = _spd(mat, name)
+def _scaled_spd(m: np.ndarray, name: str = "") -> tuple[np.ndarray, int, int, Spectrum]:
+    # (M / 4^j, n, 2j, spectrum of M / 4^j) for a gated symmetric positive
+    # definite M of dimension 2n, from densemat._spd. S is the same at
+    # M / 4^j, and the symplectic spectrum is d / 4^j exactly, since M^{1/2}
+    # scales by 2^-j.
+    n = _even_dim(m)
+    mat, exp, spec = _spd(m, name)
     return mat, n, exp, spec
 
 
@@ -111,7 +110,7 @@ def is_symplectic(s, tol: float = RESIDUAL_TOL) -> bool:
     rescale cannot help, since the test is on that product. Where the
     product overflows, the residual is not finite and the answer is False.
     """
-    m = _require_square(as_matrix(s))
+    m = _square(s)
     n = _even_dim(m)
     sigma = standard_form(n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -129,15 +128,15 @@ def symplectic_spectrum(m) -> np.ndarray:
     InvariantViolation when the result breaks the interval, determinant or
     trace invariant of M (README, Numerical notes).
     """
-    return _symplectic_spectrum(m)[0]
+    return _symplectic_spectrum(_symmetric(m))[0]
 
 
 @_reuses_solves
-def _symplectic_spectrum(m) -> tuple[np.ndarray, Spectrum, int]:
-    # symplectic_spectrum(m), the spectrum of M / 4^j that its positive-
-    # definiteness check solved, and 2j; densemat._extremes reads
-    # lambda_min(M) and lambda_max(M) off the last two. psd_sqrt solves the
-    # same matrix again.
+def _symplectic_spectrum(m: np.ndarray) -> tuple[np.ndarray, Spectrum, int]:
+    # symplectic_spectrum of a gated symmetric M, the spectrum of M / 4^j
+    # that its positive-definiteness check solved, and 2j; densemat._extremes
+    # reads lambda_min(M) and lambda_max(M) off the last two. psd_sqrt
+    # solves the same matrix again.
     mat, n, exp, spec = _scaled_spd(m)
     # At the scale of M / 4^j no pair sum below overflows.
     root = psd_sqrt(mat)
@@ -350,7 +349,7 @@ def williamson(m) -> WilliamsonFactorization:
     by canonical-basis seeds. d passes the invariant checks of
     ``symplectic_spectrum`` before S is formed.
     """
-    mat, n, exp, _ = scaled = _scaled_spd(m)
+    mat, n, exp, _ = scaled = _scaled_spd(_symmetric(m))
     s, d = _williamson_core(scaled)
     # d and residual_diag scale back by 4^j.
     sigma = standard_form(n)
@@ -368,7 +367,7 @@ def williamson(m) -> WilliamsonFactorization:
 
 def symplectic_inverse(s) -> np.ndarray:
     """Inverse of a symplectic matrix via S^{-1} = -sigma S^T sigma."""
-    m = _require_square(as_matrix(s))
+    m = _square(s)
     n = _even_dim(m)
     sigma = standard_form(n)
     return -sigma @ m.T @ sigma

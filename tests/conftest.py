@@ -34,6 +34,20 @@ def kernel_runs(monkeypatch):
     return runs
 
 
+@pytest.fixture
+def gate_runs(monkeypatch):
+    """Count input gates: every as_matrix call reaches densemat._as_real."""
+    runs = []
+    as_real = densemat._as_real
+
+    def counting(a):
+        runs.append(None)
+        return as_real(a)
+
+    monkeypatch.setattr(densemat, "_as_real", counting)
+    return runs
+
+
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))

@@ -647,12 +647,12 @@ def test_symmetrization_halves_only_the_entries_whose_sum_overflows():
 
 
 def test_call_path_matches_reference_bitwise():
-    from sympspec.densemat import TOL_PD, _require_symmetric
+    from sympspec.densemat import TOL_PD, _symmetric
 
     for a in _parity_cases():
         a_before = a.copy()
         # the symmetrized matrix itself reaches callers other than sym_eig
-        assert _hex(_require_symmetric(a)) == _hex(_reference_symmetrize(a))
+        assert _hex(_symmetric(a)) == _hex(_reference_symmetrize(a))
         spec = sym_eig(a)
         vals, vecs = _reference_sym_eig(a)
         assert _hex(spec.eigenvalues) == _hex(vals)
@@ -695,19 +695,21 @@ def test_public_functions_leave_their_input_unwritten():
 
 
 def test_kept_matrices_are_copies():
-    # sym_eig and the gates hand a bit-symmetric input on uncopied, so the
-    # objects that keep a matrix copy it: a later write by the caller leaves
-    # them as they were built.
+    # sym_eig and the gates hand a bit-symmetric input on uncopied, and
+    # _as_real a float64 mean, so the objects that keep an array copy it: a
+    # later write by the caller leaves them as they were built.
     from sympspec.gaussian import GaussianState
     from sympspec.perturb import PerturbationCase
 
     m = random_spd_generic(np.random.default_rng(59), 4)
     e = np.diag([1.0, -1.0, 0.5, 0.0])
     cov = 2.0 * np.eye(4)
+    mean = np.zeros(4)
     case = PerturbationCase(m, e, 1e-3)
-    state = GaussianState.create(cov)
+    state = GaussianState.create(cov, mean)
     kept = (case.m.copy(), case._scaled[0][0].copy(), state.cov.copy())
-    m[0, 0] = cov[0, 0] = 99.0
+    m[0, 0] = cov[0, 0] = mean[0] = 99.0
     assert case.m.tobytes() == kept[0].tobytes()
     assert case._scaled[0][0].tobytes() == kept[1].tobytes()
     assert state.cov.tobytes() == kept[2].tobytes()
+    assert state.mean.tolist() == [0.0] * 4

@@ -13,6 +13,7 @@ import contextlib
 import io
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from hypothesis import strategies as st
 
 from sympspec import cli, densemat, gaussian, perturb, symplectic
 from sympspec.densemat import NormKind
-from sympspec.errors import BadIndices, NonFinite, NotPositiveDefinite, SympspecError, ZeroModes
+from sympspec.errors import (
+    BadIndices,
+    NonFinite,
+    NotPositiveDefinite,
+    NotSymmetric,
+    SympspecError,
+    ZeroModes,
+)
 
 CONTRACT = settings(
     derandomize=True,
@@ -315,6 +323,141 @@ BOOL_INDEX_CALLS = {
 def test_bool_indices_raise_bad_indices(name):
     with pytest.raises(BadIndices, match="is a bool, not an index"):
         BOOL_INDEX_CALLS[name]()
+
+
+# Which gate fires first: every public matrix entry, at each matrix
+# argument, on twelve inputs that each carry one fault, beside valid
+# arguments. "-" is a call that returns; sweep records the errors of its
+# points and returns.
+_DATA = Path(__file__).parent / "data"
+_M4, _MP4, _E4 = (cli.load_matrix(_DATA / f"{name}.txt") for name in ("spd4", "spd4p", "e4"))
+_G4, _G4P = np.diag([2.0, 1.5, 2.0, 1.5]), np.diag([2.0, 1.6, 2.0, 1.6])
+_ASYM = _M4.copy()
+_ASYM[0, 1] += 1e-6
+_NAN = _M4.copy()
+_NAN[0, 0] = math.nan
+SINGLE_FAULTS = {
+    "complex": _M4.astype(complex),
+    "ragged": [[1.0, 0.0], [0.0]],
+    "nan": _NAN,
+    "1-D": np.ones(4),
+    "2x3": np.ones((2, 3)),
+    "asym": _ASYM,
+    "asym600": np.ldexp(_ASYM, 600),
+    "odd": np.diag([1.0, 2.0, 3.0]),
+    "0x0": np.zeros((0, 0)),
+    "indef": np.diag([1.0, -1.0, 1.0, 1.0]),
+    "pd600": np.ldexp(_M4, 600),
+    "2x2": np.diag([2.0, 3.0]),
+}
+# name -> (call, valid arguments); the row name[i] puts each fault at argument i.
+MATRIX_ENTRIES = {
+    "sym_eig": (densemat.sym_eig, [_M4]),
+    "psd_sqrt": (densemat.psd_sqrt, [_M4]),
+    "spd_inverse": (densemat.spd_inverse, [_M4]),
+    "singular_values": (densemat.singular_values, [_M4]),
+    "norm": (densemat.norm, [_M4]),
+    "condition_number": (densemat.condition_number, [_M4]),
+    "is_symplectic": (symplectic.is_symplectic, [_M4]),
+    "symplectic_inverse": (symplectic.symplectic_inverse, [_M4]),
+    "symplectic_spectrum": (symplectic.symplectic_spectrum, [_M4]),
+    "williamson": (symplectic.williamson, [_M4]),
+    "validate_covariance": (gaussian.validate_covariance, [_G4]),
+    "is_pure": (gaussian.is_pure, [_G4]),
+    "reduced_state": (lambda c: gaussian.reduced_state(c, [0]), [_G4]),
+    "entanglement_entropy": (gaussian.entanglement_entropy, [_G4]),
+    "GaussianState.create": (gaussian.GaussianState.create, [_G4]),
+    "entropy_difference_bound": (gaussian.entropy_difference_bound, [_G4, _G4P]),
+    "bound_spectrum": (perturb.bound_spectrum, [_M4, _MP4]),
+    "bound_bhatia_jain": (perturb.bound_bhatia_jain, [_M4, _MP4]),
+    "PerturbationCase": (lambda m, e: perturb.PerturbationCase(m, e, 1e-3), [_M4, _E4]),
+    "check_sqrt_lemma": (perturb.check_sqrt_lemma, [_M4, _MP4]),
+    "check_inv_lemma": (perturb.check_inv_lemma, [_M4, _MP4]),
+    "check_woodbury_norm": (lambda m, e: perturb.check_woodbury_norm(m, e, 1e-3), [_M4, _E4]),
+    "check_kappa_growth": (lambda m, e: perturb.check_kappa_growth(m, e, 1e-3), [_M4, _E4]),
+    "check_eigvec_bound": (lambda a, b: perturb.check_eigvec_bound(a, b, 1e-3), [_M4, _E4]),
+    "check_projection_bound": (
+        lambda a, b: perturb.check_projection_bound(a, b, (0, 2), (2, 4)), [_M4, _MP4]
+    ),
+    "sweep": (lambda m, e: perturb.sweep(m, e, [1e-3], "spectrum"), [_M4, _E4]),
+}
+FIRST_GATE_CODES = {
+    "NF": "NonFinite", "SQ": "NotSquare", "SY": "NotSymmetric", "OD": "OddDimension",
+    "ZM": "ZeroModes", "PD": "NotPositiveDefinite", "PSD": "NotPSD",
+    "DM": "DimensionMismatch", "BI": "BadIndices", "DS": "DegenerateSpectrum",
+    "PV": "PreconditionViolated", "-": "-",
+}
+FIRST_GATE = """
+entry                        complex ragged nan 1-D 2x3 asym asym600 odd 0x0 indef pd600 2x2
+sym_eig[0]                   NF NF NF SQ SQ SY SY -  -  -   -  -
+psd_sqrt[0]                  NF NF NF SQ SQ SY SY -  -  PSD -  -
+spd_inverse[0]               NF NF NF SQ SQ SY SY -  PD PD  -  -
+singular_values[0]           NF NF NF SQ SQ -  -  -  -  -   -  -
+norm[0]                      NF NF NF SQ SQ -  -  -  -  -   -  -
+condition_number[0]          NF NF NF SQ SQ SY SY -  PD PD  -  -
+is_symplectic[0]             NF NF NF SQ SQ -  -  OD ZM -   -  -
+symplectic_inverse[0]        NF NF NF SQ SQ -  -  OD ZM -   -  -
+symplectic_spectrum[0]       NF NF NF SQ SQ SY SY OD ZM PD  -  -
+williamson[0]                NF NF NF SQ SQ SY SY OD ZM PD  -  -
+validate_covariance[0]       NF NF NF SQ SQ SY SY OD ZM PD  -  -
+is_pure[0]                   NF NF NF SQ SQ SY SY OD ZM PD  -  -
+reduced_state[0]             NF NF NF SQ SQ SY SY BI BI -   -  -
+entanglement_entropy[0]      NF NF NF SQ SQ SY SY OD ZM PD  -  -
+GaussianState.create[0]      NF NF NF SQ SQ SY SY OD ZM PD  -  -
+entropy_difference_bound[0]  NF NF NF SQ SQ SY SY DM DM PD  -  DM
+entropy_difference_bound[1]  NF NF NF SQ SQ SY SY DM DM PD  -  DM
+bound_spectrum[0]            NF NF NF SQ SQ SY SY DM DM PD  -  DM
+bound_spectrum[1]            NF NF NF SQ SQ SY SY DM DM PD  -  DM
+bound_bhatia_jain[0]         NF NF NF SQ SQ SY SY DM DM PD  -  DM
+bound_bhatia_jain[1]         NF NF NF SQ SQ SY SY DM DM PD  -  DM
+PerturbationCase[0]          NF NF NF SQ SQ SY SY DM DM PD  -  DM
+PerturbationCase[1]          NF NF NF SQ SQ SY SY DM DM -   -  DM
+check_sqrt_lemma[0]          NF NF NF SQ SQ SY SY DM DM PSD -  DM
+check_sqrt_lemma[1]          NF NF NF SQ SQ SY SY DM DM PSD -  DM
+check_inv_lemma[0]           NF NF NF SQ SQ SY SY DM DM PD  -  DM
+check_inv_lemma[1]           NF NF NF SQ SQ SY SY DM DM PD  -  DM
+check_woodbury_norm[0]       NF NF NF SQ SQ -  -  DM DM -   -  DM
+check_woodbury_norm[1]       NF NF NF SQ SQ -  -  DM DM -   -  DM
+check_kappa_growth[0]        NF NF NF SQ SQ SY SY DM DM PD  -  DM
+check_kappa_growth[1]        NF NF NF SQ SQ SY SY DM DM -   -  DM
+check_eigvec_bound[0]        NF NF NF SQ SQ SY SY DM DM DS  -  DM
+check_eigvec_bound[1]        NF NF NF SQ SQ SY SY DM DM -   PV DM
+check_projection_bound[0]    NF NF NF SQ SQ SY SY DM DM -   -  DM
+check_projection_bound[1]    NF NF NF SQ SQ SY SY DM DM -   -  DM
+sweep[0]                     NF NF NF SQ SQ -  -  DM DM -   -  DM
+sweep[1]                     NF NF NF SQ DM -  -  DM DM -   -  DM
+"""
+_HEADER, *_ROWS = FIRST_GATE.strip().splitlines()
+FIRST_GATE_ROWS = {row.split()[0]: [FIRST_GATE_CODES[c] for c in row.split()[1:]] for row in _ROWS}
+assert _HEADER.split()[1:] == list(SINGLE_FAULTS)
+assert {row.split("[")[0] for row in FIRST_GATE_ROWS} == set(MATRIX_ENTRIES)
+
+
+@pytest.mark.parametrize("row", list(FIRST_GATE_ROWS))
+def test_first_gate_on_single_faults(row):
+    name, _, pos = row[:-1].partition("[")
+    call, valid = MATRIX_ENTRIES[name]
+    got = []
+    for fault, bad in SINGLE_FAULTS.items():
+        args = list(valid)
+        args[int(pos)] = bad
+        try:
+            call(*args)
+            got.append("-")
+        except SympspecError as exc:
+            got.append(type(exc).__name__)
+            # The asymmetry named is the input's own, 1e-6 * 2^600, not that
+            # of a rescaled copy.
+            if fault == "asym600" and isinstance(exc, NotSymmetric):
+                assert str(exc) == "asymmetry 4.150e+174 exceeds 1.0e-12 * 1.245e+181"
+    assert got == FIRST_GATE_ROWS[row]
+
+
+def test_first_gate_of_the_entropy_bound_on_two_faults():
+    # Both symplectic spectra are solved before either entropy is read: the
+    # second covariance's indefiniteness is named before the first's d < 1.
+    with pytest.raises(NotPositiveDefinite, match=r"^smallest eigenvalue -1\.000000e\+00 is not positive$"):
+        gaussian.entropy_difference_bound(0.5 * np.eye(4), np.diag([1.0, -1.0, 1.0, 1.0]))
 
 
 MALFORMED_FILES = ("", "\n", "1 2\n3\n", "# 2 2\n1 0\n", "x y\n", "# a b\n1\n", "1 nan\n")

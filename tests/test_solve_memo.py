@@ -117,6 +117,29 @@ _KERNEL_RUNS = {
 }
 
 
+# as_matrix runs (counted at densemat._as_real) that each _KERNEL_RUNS call
+# makes on the same data. Each public entry gates its matrices once, the
+# private bodies it feeds gate no more, and sym_eig gates the matrix of
+# every solve again, a memo hit included. A body that gates again, or an
+# entry that gates twice, moves its row.
+_GATE_RUNS = {
+    "williamson": 10, "symplectic_spectrum": 5,
+    "bound_spectrum": 16, "bound_spectrum.frobenius": 12, "bound_spectrum.trace": 16,
+    "bound_bhatia_jain": 16, "bound_S": 17, "bound_gram": 18,
+    "check_sqrt_lemma": 10, "check_sqrt_lemma.frobenius": 8, "check_sqrt_lemma.trace": 10,
+    "check_inv_lemma": 10, "check_inv_lemma.frobenius": 8, "check_inv_lemma.trace": 16,
+    "check_woodbury_norm": 9, "check_kappa_growth": 8, "check_eigvec_bound": 7,
+    "check_projection_bound": 10, "entanglement_entropy": 5, "entropy_difference_bound": 13,
+    "sweep": 73, "sweep.spectrum": 69, "sweep.bhatia_jain": 69, "sweep.gram": 77,
+    "sweep.sqrt_lemma": 45, "sweep.inv_lemma": 45, "sweep.woodbury": 41,
+    "sweep.kappa_growth": 37, "sweep.eigvec": 33,
+    "norm.operator": 3, "norm.frobenius": 1, "norm.trace": 3,
+    "sym_eig": 1, "psd_sqrt": 1, "spd_inverse": 2, "singular_values": 2, "condition_number": 2,
+    "is_symplectic": 4, "gauge_align": 6, "validate_covariance": 5, "is_pure": 5,
+    "GaussianState.create": 6, "PerturbationCase": 7, "degenerate_demo": 19,
+}
+
+
 # The calls that read kappa and ||M|| off _symplectic_spectrum's hand-over,
 # and the stability checkers that factorize from a PerturbationCase's
 # spectra, on the same data times 2^300, a sweep's grid and epsilon
@@ -143,6 +166,13 @@ def test_kernel_runs_per_public_call(kernel_runs, name):
     expected, _, call = _KERNEL_RUNS[name]
     call()
     assert len(kernel_runs) == expected
+
+
+@pytest.mark.parametrize("name", list(_GATE_RUNS))
+def test_gate_runs_per_public_call(gate_runs, name):
+    assert list(_GATE_RUNS) == list(_KERNEL_RUNS)
+    _KERNEL_RUNS[name][2]()
+    assert len(gate_runs) == _GATE_RUNS[name]
 
 
 @pytest.mark.parametrize("name", list(_KERNEL_RUNS))

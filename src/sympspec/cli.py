@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,16 +23,12 @@ from .errors import (
     SympspecError,
     UnknownCommand,
 )
-from .gaussian import entanglement_entropy, entropy_difference_bound
-from .perturb import (
-    SWEEPABLE,
-    BoundReport,
-    check_projection_bound,
-    counterexample_scaling,
-    degenerate_demo,
-    sweep,
-)
-from .symplectic import RESIDUAL_TOL, symplectic_spectrum, williamson
+
+# Each command imports the modules it runs when it runs, so that a cold
+# process loads only those: spectrum and decompose load neither perturb nor
+# gaussian. BoundReport is imported here for the annotations alone.
+if TYPE_CHECKING:
+    from .perturb import BoundReport
 
 _NORM_BY_FLAG = {
     "op": NormKind.OPERATOR,
@@ -47,10 +44,23 @@ _UNSET = object()
 
 _EPS_GRID_MAX_POINTS = 1_000_000   # most points of an --eps a:b:count grid, 8 MB
 
+
+def _projection(m, p, s1, s2):
+    from .perturb import check_projection_bound
+
+    return check_projection_bound(m, p, s1, s2)
+
+
+def _entropy_diff(m, p):
+    from .gaussian import entropy_difference_bound
+
+    return entropy_difference_bound(m, p)
+
+
 # Every bound the CLI offers -> (how, flags). `how` is the bound's
-# perturb.SWEEPABLE name or, for a bound only `check` runs, its checker, called
-# with M and the flags' values. `flags` are what `check` needs after -m, in the
-# order they are required.
+# perturb.SWEEPABLE name, a str, or, for a bound only `check` runs, its
+# checker, called with M and the flags' values. `flags` are what `check` needs
+# after -m, in the order they are required.
 _BOUNDS = {
     "spectrum": ("spectrum", ("-p",)),
     "bhatia-jain": ("bhatia_jain", ("-p",)),
@@ -61,11 +71,8 @@ _BOUNDS = {
     "woodbury": ("woodbury", ("--eps", "-e")),
     "kappa-growth": ("kappa_growth", ("--eps", "-e")),
     "eigvec": ("eigvec", ("-p", "--eps")),
-    "projection": (
-        lambda m, p, s1, s2: check_projection_bound(m, p, s1, s2),
-        ("-p", "--s1", "--s2"),
-    ),
-    "entropy-diff": (lambda m, p: entropy_difference_bound(m, p), ("-p",)),
+    "projection": (_projection, ("-p", "--s1", "--s2")),
+    "entropy-diff": (_entropy_diff, ("-p",)),
 }
 
 
@@ -251,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--s2")
 
     sw = sub.add_parser("sweep", help="evaluate one bound across an epsilon grid")
-    sweepable = [name for name, (how, _) in _BOUNDS.items() if how in SWEEPABLE]
+    sweepable = [name for name, (how, _) in _BOUNDS.items() if isinstance(how, str)]
     sw.add_argument("bound", choices=sweepable)
     sw.add_argument("-m", "--matrix", required=True)
     sw.add_argument("-e", "--perturbation")
@@ -317,6 +324,8 @@ def _check_flag(args, flag: str):
 
 
 def _cmd_spectrum(args, out) -> int:
+    from .symplectic import symplectic_spectrum
+
     d = symplectic_spectrum(load_matrix(args.matrix))
     text = [fmt_float(x) for x in d]
     out.write(_render(args.fmt, list(d), text, csv=["d"] + text))
@@ -324,6 +333,8 @@ def _cmd_spectrum(args, out) -> int:
 
 
 def _cmd_decompose(args, out) -> int:
+    from .symplectic import RESIDUAL_TOL, williamson
+
     fac = williamson(load_matrix(args.matrix))
     scale = max(1.0, float(np.max(np.abs(fac.d))))
     ok = fac.residual_diag <= RESIDUAL_TOL * scale and fac.residual_symp <= RESIDUAL_TOL
@@ -360,7 +371,9 @@ def _cmd_check(args, out) -> int:
     how, flags = _BOUNDS[args.bound]
     m = load_matrix(args.matrix)
     values = {flag: _check_flag(args, flag) for flag in flags}
-    if how in SWEEPABLE:
+    if isinstance(how, str):
+        from .perturb import SWEEPABLE
+
         moves, call = SWEEPABLE[how]
         # eigvec takes its direction as -p; every other bound that moves M takes -e
         second = values.get("-e", values.get("-p"))
@@ -373,6 +386,8 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
+    from .perturb import sweep
+
     m = load_matrix(args.matrix)
     if args.perturbation is not None:
         e = load_matrix(args.perturbation)
@@ -389,6 +404,8 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_entropy(args, out) -> int:
+    from .gaussian import entanglement_entropy
+
     rep = entanglement_entropy(load_matrix(args.matrix))
     scale = 1.0 / np.log(2.0) if args.bits else 1.0
     h = rep.entropy * scale
@@ -411,6 +428,8 @@ def _cmd_entropy(args, out) -> int:
 
 
 def _cmd_counterexample(args, out) -> int:
+    from .perturb import counterexample_scaling
+
     report = counterexample_scaling(args.x, args.eps, args.c)
     body, _, csv = _report_forms([(args.eps, report)])
     text = "fires={} lhs={} rhs={} x0={}".format(
@@ -424,6 +443,8 @@ def _cmd_counterexample(args, out) -> int:
 
 
 def _cmd_demo_degenerate(args, out) -> int:
+    from .perturb import degenerate_demo
+
     fields = dataclasses.asdict(degenerate_demo(args.eps))
     text = [f"{key}={fmt_float(val)}" for key, val in fields.items()]
     out.write(_render(args.fmt, fields, text))

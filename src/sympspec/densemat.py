@@ -13,6 +13,7 @@ import contextlib
 import contextvars
 import functools
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure,
+    DimensionMismatch,
     NonFinite,
     NotPositiveDefinite,
     NotPSD,
@@ -253,6 +255,23 @@ def _symmetric(a) -> np.ndarray:
     return _midpoint(m, m.T, scale)
 
 
+def _symmetric_pair(m, mp):
+    # Two gated symmetric matrices of the same shape: the one gate of every
+    # two-matrix checker, whose bodies gate no more.
+    a = _symmetric(m)
+    b = _symmetric(mp)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
+    return a, b
+
+
+def _index(i) -> int:
+    # operator.index(i), refusing bools: True in a NumPy-style mask is no index.
+    if isinstance(i, bool):
+        raise TypeError(f"{i!r} is a bool, not an index")
+    return operator.index(i)
+
+
 def _reuses_solves(fn):
     # Decorator: every sym_eig call under the outermost decorated call shares
     # one memo, so a matrix solved twice within that call is solved once.
@@ -408,10 +427,16 @@ def spd_inverse(a) -> np.ndarray:
 
 def singular_values(a) -> np.ndarray:
     """Descending singular values: square roots of the eigenvalues of A^T A."""
-    # numpy forms m.T @ m by a symmetric rank-k update: bit-symmetric.
     m, exp = _rescaled(_square(a))
+    return _unscale(_singular_values(m), exp)
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    # singular_values of a gated square m at a scale where no square and no
+    # sum overflows or underflows, as _rescaled leaves it.
+    # numpy forms m.T @ m by a symmetric rank-k update: bit-symmetric.
     vals = sym_eig(m.T @ m).eigenvalues
-    return _unscale(np.sqrt(vals[::-1].clip(0.0)), exp)
+    return np.sqrt(vals[::-1].clip(0.0))
 
 
 def norm(a, kind: NormKind = NormKind.OPERATOR) -> float:
@@ -432,7 +457,7 @@ def _norms(a, kinds) -> list[float]:
             total = np.sqrt((m * m).sum())
         elif kind is NormKind.OPERATOR or kind is NormKind.TRACE:
             if s is None:
-                s = singular_values(m)
+                s = _singular_values(m)
             total = s.sum() if kind is NormKind.TRACE else (s[0] if s.size else 0.0)
         else:
             raise ValueError(f"unknown norm kind: {kind!r}")

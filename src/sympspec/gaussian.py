@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .densemat import NormKind, norm, _as_real, _symmetric
+from .densemat import NormKind, norm, _as_real, _index, _symmetric, _symmetric_pair
 from .errors import BadIndices, InvalidCovariance, NonFinite, NotInterior
-from .perturb import BoundReport, _index, _spectrum_pair, _symmetric_pair
-from .symplectic import symplectic_spectrum
+from .symplectic import symplectic_spectrum, _spectrum_pair, _symplectic_spectrum
+
+if TYPE_CHECKING:
+    from .perturb import BoundReport
 
 HEISENBERG_TOL = 1e-10   # validity: min symplectic eigenvalue >= 1 - this
 PURITY_TOL = 1e-8        # pure: every symplectic eigenvalue within this of 1
@@ -43,7 +46,7 @@ class GaussianState:
     def create(cls, cov, mean=None) -> "GaussianState":
         c = _symmetric(cov)
         n = c.shape[0] // 2
-        check = validate_covariance(c)
+        check = _validity(c)
         m = np.zeros(2 * n) if mean is None else _as_real(mean)
         if m.shape != (2 * n,):
             raise BadIndices(f"mean must have length {2 * n}, got shape {m.shape}")
@@ -56,8 +59,12 @@ class GaussianState:
 
 def validate_covariance(cov) -> CovarianceValidity:
     """Check the uncertainty bound: every symplectic eigenvalue >= 1."""
-    d = symplectic_spectrum(cov)
-    min_d = float(d[-1])
+    return _validity(_symmetric(cov))
+
+
+def _validity(c: np.ndarray) -> CovarianceValidity:
+    # validate_covariance of a gated symmetric covariance.
+    min_d = float(_symplectic_spectrum(c)[0][-1])
     return CovarianceValidity(valid=bool(min_d >= 1.0 - HEISENBERG_TOL), min_d=min_d)
 
 
@@ -153,6 +160,9 @@ def entropy_difference_bound(cov, cov2) -> BoundReport:
     lhs = abs(ha.entropy - hb.entropy)
     # The max in the bound is ||g||: (||g^-1||^-1 - 1) / 2 never exceeds it.
     rhs = kappa_term * (1.0 + math.log(norm_a)) * norm(a - b, NormKind.TRACE)
+    # Imported here, not at load: a cold entropy command never loads perturb.
+    from .perturb import BoundReport
+
     return BoundReport.from_sides(
         lhs,
         rhs,

@@ -10,7 +10,6 @@ spectrum moves more than a fixed multiple of the perturbation.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,12 +25,13 @@ from .densemat import (
     spd_inverse,
     sym_eig,
     _extremes,
+    _index,
     _norms,
     _reuses_solves,
     _spd,
     _spd_inverse,
     _square,
-    _symmetric,
+    _symmetric_pair,
     _unscale,
     TOL_PD,
 )
@@ -50,7 +50,7 @@ from .symplectic import (
     standard_form,
     _gauge_align,
     _scaled_spd,
-    _symplectic_spectrum,
+    _spectrum_pair,
     _williamson_core,
 )
 
@@ -143,16 +143,6 @@ class PerturbationCase:
         return _perturbed(self.m, self.e, self.epsilon)
 
 
-def _symmetric_pair(m, mp):
-    # Two gated symmetric matrices of the same shape: the one gate of every
-    # two-matrix checker, whose bodies gate no more.
-    a = _symmetric(m)
-    b = _symmetric(mp)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return a, b
-
-
 def _finite_sum(a, factor: float, b, what: str) -> np.ndarray:
     # a + factor * b, raising NonFinite where an entry passes the largest
     # float, as is_symplectic does for its product, instead of warning and
@@ -198,18 +188,6 @@ def bound_spectrum(m, mp, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
     in any of the implemented unitarily invariant norms.
     """
     return _spectrum_bound(*_symmetric_pair(m, mp), kind)[0]
-
-
-def _spectrum_pair(a, b):
-    # The symplectic spectra d and d' of a gated symmetric pair, ||a||_op,
-    # ||b||_op and sqrt(kappa(a) kappa(b)), the last three read off the
-    # spectra that _symplectic_spectrum hands over: the start of the spectrum
-    # bound and of gaussian.entropy_difference_bound.
-    d, spec_a, exp_a = _symplectic_spectrum(a)
-    dp, spec_b, exp_b = _symplectic_spectrum(b)
-    lo_a, na = _extremes(spec_a, exp_a)
-    lo_b, nb = _extremes(spec_b, exp_b)
-    return d, dp, na, nb, math.sqrt((na / lo_a) * (nb / lo_b))
 
 
 def _spectrum_bound(a, b, kind):
@@ -635,13 +613,6 @@ def check_projection_bound(a, b, s1_range, s2_range) -> BoundReport:
         "projection_overlap",
         details={"delta": delta, "per_kind": per_kind},
     )
-
-
-def _index(i) -> int:
-    # operator.index(i), refusing bools: True in a NumPy-style mask is no index.
-    if isinstance(i, bool):
-        raise TypeError(f"{i!r} is a bool, not an index")
-    return operator.index(i)
 
 
 def _validate_range(idx_range, n: int, name: str) -> slice:

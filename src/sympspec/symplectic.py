@@ -22,6 +22,7 @@ from .densemat import (
     psd_sqrt,
     singular_values,
     sym_eig,
+    _extremes,
     _reuses_solves,
     _spd,
     _square,
@@ -145,6 +146,18 @@ def _symplectic_spectrum(m: np.ndarray) -> tuple[np.ndarray, Spectrum, int]:
     d = (s[0::2] + s[1::2]) / 2.0
     _check_invariants(d, spec)
     return _unscale(d, exp), spec, exp
+
+
+def _spectrum_pair(a, b):
+    # The symplectic spectra d and d' of a gated symmetric pair, ||a||_op,
+    # ||b||_op and sqrt(kappa(a) kappa(b)), the last three read off the
+    # spectra that _symplectic_spectrum hands over: the start of
+    # perturb.bound_spectrum and of gaussian.entropy_difference_bound.
+    d, spec_a, exp_a = _symplectic_spectrum(a)
+    dp, spec_b, exp_b = _symplectic_spectrum(b)
+    lo_a, na = _extremes(spec_a, exp_a)
+    lo_b, nb = _extremes(spec_b, exp_b)
+    return d, dp, na, nb, math.sqrt((na / lo_a) * (nb / lo_b))
 
 
 def _check_invariants(d: np.ndarray, spec: Spectrum) -> None:

@@ -123,20 +123,20 @@ _KERNEL_RUNS = {
 # every solve again, a memo hit included. A body that gates again, or an
 # entry that gates twice, moves its row.
 _GATE_RUNS = {
-    "williamson": 10, "symplectic_spectrum": 5,
-    "bound_spectrum": 16, "bound_spectrum.frobenius": 12, "bound_spectrum.trace": 16,
-    "bound_bhatia_jain": 16, "bound_S": 17, "bound_gram": 18,
-    "check_sqrt_lemma": 10, "check_sqrt_lemma.frobenius": 8, "check_sqrt_lemma.trace": 10,
-    "check_inv_lemma": 10, "check_inv_lemma.frobenius": 8, "check_inv_lemma.trace": 16,
-    "check_woodbury_norm": 9, "check_kappa_growth": 8, "check_eigvec_bound": 7,
-    "check_projection_bound": 10, "entanglement_entropy": 5, "entropy_difference_bound": 13,
-    "sweep": 73, "sweep.spectrum": 69, "sweep.bhatia_jain": 69, "sweep.gram": 77,
-    "sweep.sqrt_lemma": 45, "sweep.inv_lemma": 45, "sweep.woodbury": 41,
-    "sweep.kappa_growth": 37, "sweep.eigvec": 33,
-    "norm.operator": 3, "norm.frobenius": 1, "norm.trace": 3,
+    "williamson": 8, "symplectic_spectrum": 5,
+    "bound_spectrum": 14, "bound_spectrum.frobenius": 12, "bound_spectrum.trace": 14,
+    "bound_bhatia_jain": 14, "bound_S": 15, "bound_gram": 16,
+    "check_sqrt_lemma": 8, "check_sqrt_lemma.frobenius": 7, "check_sqrt_lemma.trace": 8,
+    "check_inv_lemma": 8, "check_inv_lemma.frobenius": 8, "check_inv_lemma.trace": 12,
+    "check_woodbury_norm": 8, "check_kappa_growth": 7, "check_eigvec_bound": 6,
+    "check_projection_bound": 8, "entanglement_entropy": 5, "entropy_difference_bound": 12,
+    "sweep": 64, "sweep.spectrum": 60, "sweep.bhatia_jain": 60, "sweep.gram": 68,
+    "sweep.sqrt_lemma": 36, "sweep.inv_lemma": 36, "sweep.woodbury": 36,
+    "sweep.kappa_growth": 32, "sweep.eigvec": 28,
+    "norm.operator": 2, "norm.frobenius": 1, "norm.trace": 2,
     "sym_eig": 1, "psd_sqrt": 1, "spd_inverse": 2, "singular_values": 2, "condition_number": 2,
-    "is_symplectic": 4, "gauge_align": 6, "validate_covariance": 5, "is_pure": 5,
-    "GaussianState.create": 6, "PerturbationCase": 7, "degenerate_demo": 19,
+    "is_symplectic": 3, "gauge_align": 5, "validate_covariance": 5, "is_pure": 5,
+    "GaussianState.create": 5, "PerturbationCase": 6, "degenerate_demo": 16,
 }
 
 

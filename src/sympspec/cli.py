@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -478,7 +479,26 @@ def run(argv=None, out=None) -> int:
 
 
 def main(argv=None) -> None:
-    sys.exit(run(argv))
+    """Run one command, write its report, and end the process with its exit code.
+
+    The process ends here: ``run`` is the entry to call in-process. Once
+    stdout and stderr are flushed, the process exits at once, without the
+    interpreter's teardown (numpy's is most of it), so ``atexit`` handlers
+    that other code registered do not run. Where a flush fails (a closed
+    pipe), or a trace or profile function is set (coverage, ``trace``,
+    ``cProfile``, which report at exit), it exits through ``sys.exit``.
+    """
+    code = run(argv)
+    if sys.gettrace() is None and sys.getprofile() is None:
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except OSError:
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

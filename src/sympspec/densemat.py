@@ -426,7 +426,15 @@ def spd_inverse(a) -> np.ndarray:
 
 
 def singular_values(a) -> np.ndarray:
-    """Descending singular values: square roots of the eigenvalues of A^T A."""
+    """Descending singular values: square roots of the eigenvalues of A^T A.
+
+    Accuracy: the Gram route squares the condition number. The largest
+    singular value, and with it the operator norm, is accurate to about
+    eps_mach relative; the smallest has a relative error of about
+    eps_mach * kappa^2, with kappa = s_1 / s_n, and a computed eigenvalue of
+    A^T A below 0 gives s_n = 0. Past kappa of about 1e7 the smallest is
+    not even right to one digit.
+    """
     m, exp = _rescaled(_square(a))
     return _unscale(_singular_values(m), exp)
 
@@ -441,15 +449,15 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
 
 def norm(a, kind: NormKind = NormKind.OPERATOR) -> float:
     """Unitarily invariant norm of a square matrix."""
-    return _norms(a, (kind,))[0]
+    return _norms(_square(a), (kind,))[0]
 
 
-def _norms(a, kinds) -> list[float]:
-    # [norm(a, kind) for kind in kinds], from at most one singular-value
-    # solve. Each total is taken at the scale where no square and no sum
-    # overflows and unscaled once; the scaled matrix's singular values need
-    # no rescale of their own.
-    m, exp = _rescaled(_square(a))
+def _norms(a: np.ndarray, kinds) -> list[float]:
+    # [norm(a, kind) for kind in kinds] for a gated square a, from at most
+    # one singular-value solve. Each total is taken at the scale where no
+    # square and no sum overflows and unscaled once; the scaled matrix's
+    # singular values need no rescale of their own.
+    m, exp = _rescaled(a)
     s = None
     out = []
     for kind in kinds:

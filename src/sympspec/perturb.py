@@ -21,13 +21,14 @@ from .densemat import (
     identity_norm,
     norm,
     psd_sqrt,
-    singular_values,
     spd_inverse,
     sym_eig,
     _extremes,
     _index,
     _norms,
+    _rescaled,
     _reuses_solves,
+    _singular_values,
     _spd,
     _spd_inverse,
     _square,
@@ -57,6 +58,7 @@ from .symplectic import (
 HOLDS_SLACK = 1e-12          # slack in the holds comparison, times max(1, rhs)
 SLOPE_FLOOR = 1e-14          # grid points below this lhs are left out of fits
 COUNTEREXAMPLE_SCAN_CAP = 10_000_000   # x0 beyond this x is reported as None
+SMIN_RESOLVE_BELOW = 1e-4    # s_n / s_1 below which woodbury solves M itself
 
 # The fixed direction used by the scaling counterexample; its two singular
 # values coincide at sqrt(29).
@@ -174,8 +176,8 @@ def _require_positive_epsilon(epsilon):
 
 
 def _unit_direction(e):
-    # E scaled to unit operator norm; a zero E has no direction.
-    e_norm = norm(e, NormKind.OPERATOR)
+    # A gated E scaled to unit operator norm; a zero E has no direction.
+    e_norm = _norms(e, (NormKind.OPERATOR,))[0]
     if e_norm == 0.0:
         raise OutOfValidityRange("E must be nonzero")
     return e / e_norm
@@ -467,8 +469,16 @@ def check_inv_lemma(a, b, kind: NormKind = NormKind.OPERATOR) -> BoundReport:
     lhs = norm(ia - ib, kind)
     if kind is not NormKind.OPERATOR:
         na, nb = norm(ia, kind), norm(ib, kind)
-    rhs = na * nb * norm(_finite_sum(a, -1.0, b, "A - B"), kind)
-    return BoundReport.from_sides(lhs, rhs, kind, True, "inv_lemma")
+    diff = _finite_sum(a, -1.0, b, "A - B")
+    rhs = na * nb * norm(diff, kind)
+    report = BoundReport.from_sides(lhs, rhs, kind, True, "inv_lemma")
+    if not report.holds:
+        # Each computed inverse carries a rounding of about eps_mach kappa
+        # ||A^-1||, which their difference cannot get below; once ||A - B||
+        # nears eps_mach ||A||, that rounding passes the rhs. The same
+        # matrix as A^-1 (A - B) B^-1 has no such cancellation.
+        report = BoundReport.from_sides(norm(ia @ diff @ ib, kind), rhs, kind, True, "inv_lemma")
+    return report
 
 
 def _inverse_and_norm(a) -> tuple[np.ndarray, float]:
@@ -490,7 +500,7 @@ def check_woodbury_norm(m, e, epsilon: float) -> BoundReport:
         raise DimensionMismatch(f"shapes {mat.shape} and {pert.shape} differ")
     _require_positive_epsilon(epsilon)
     pert = _unit_direction(pert)
-    s = singular_values(mat)
+    s = _sharp_singular_values(mat)
     if s[-1] <= TOL_PD * s[0]:
         raise NotInvertible(f"smallest singular value {s[-1]:.6e} is negligible")
     inv_norm = 1.0 / float(s[-1])
@@ -498,12 +508,25 @@ def check_woodbury_norm(m, e, epsilon: float) -> BoundReport:
         raise PreconditionViolated(
             f"||M^-1|| = {inv_norm:.6e} exceeds 1/(2 eps) = {1.0 / (2.0 * epsilon):.6e}"
         )
-    s_pert = singular_values(_perturbed(mat, pert, epsilon))
+    s_pert = _sharp_singular_values(_perturbed(mat, pert, epsilon))
     if s_pert[-1] <= TOL_PD * s_pert[0]:
         raise NotInvertible("perturbed matrix is numerically singular")
     lhs = 1.0 / float(s_pert[-1])
     rhs = 2.0 * inv_norm
     return BoundReport.from_sides(lhs, rhs, NormKind.OPERATOR, True, "woodbury")
+
+
+def _sharp_singular_values(m) -> np.ndarray:
+    # singular_values of a gated square m, whose s_n woodbury inverts. The
+    # Gram route's s_n has a relative error of about eps_mach kappa^2, so
+    # where it puts s_n below SMIN_RESOLVE_BELOW * s_1 on a bit-symmetric m,
+    # the values are the sorted |lambda| of one solve of m instead, with an
+    # error of about eps_mach kappa. Above that ratio the Gram bits stand.
+    r, exp = _rescaled(m)
+    s = _unscale(_singular_values(r), exp)
+    if s[-1] < SMIN_RESOLVE_BELOW * s[0] and m.tobytes() == m.T.tobytes():
+        s = np.sort(np.abs(sym_eig(m).eigenvalues))[::-1]
+    return s
 
 
 def check_kappa_growth(m, e, epsilon: float) -> BoundReport:
@@ -541,7 +564,7 @@ def check_eigvec_bound(a, b, epsilon: float) -> BoundReport:
     if not epsilon >= 0.0:
         raise OutOfValidityRange(f"epsilon must not be negative, got {epsilon}")
     _require_finite("epsilon", epsilon)
-    if norm(pert, NormKind.OPERATOR) > 1.0 + 1e-9:
+    if _norms(pert, (NormKind.OPERATOR,))[0] > 1.0 + 1e-9:
         raise PreconditionViolated("||B||_op must not exceed 1")
     spec = sym_eig(mat)
     n = mat.shape[0]
@@ -596,6 +619,8 @@ def check_projection_bound(a, b, s1_range, s2_range) -> BoundReport:
     proj_a = spec_a.eigenvectors[:, i1] @ spec_a.eigenvectors[:, i1].T
     proj_b = spec_b.eigenvectors[:, i2] @ spec_b.eigenvectors[:, i2].T
     overlap = proj_a @ proj_b
+    # Both finite and square, so gated: the overlap of orthonormal columns
+    # and _finite_sum's A - B.
     diff = _finite_sum(mat_a, -1.0, mat_b, "A - B")
     per_kind = {}
     worst = None

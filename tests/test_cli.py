@@ -313,6 +313,15 @@ class TestCommands:
         )
         assert not _violates(informational)
 
+    def test_sweep_inv_at_kappa_3e5_exits_zero(self):
+        # At eps = 1e-11 the difference of the two computed inverses is
+        # rounding, 9x the rhs; the product form holds.
+        code, text = _run_text(
+            ["sweep", "inv", "-m", str(DATA / "kappa3e5.txt"), "--eps", "1e-12:1e-3:10"]
+        )
+        assert code == 0
+        assert "holds=false" not in text
+
     def test_in_process_determinism(self):
         argv = [
             "--format",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spd, random_spd_generic, random_symmetric_unit
-from sympspec.densemat import NormKind, norm
+from sympspec.densemat import NormKind, condition_number, norm
 from sympspec.errors import (
     BadIndices,
     DegenerateSpectrum,
@@ -434,6 +434,53 @@ class TestWoodbury:
         # before the 1/(2 eps) gate, which divides by zero at eps = 0
         with pytest.raises(OutOfValidityRange, match="epsilon must be positive"):
             check_woodbury_norm(np.diag([2.0, 3.0]), np.eye(2), eps)
+
+
+# Seeded positive definite M at 2n = 2..10 and kappa = 1e5..1e10, with
+# lambda_min = 1, each with a unit direction E, at eps / lambda_min =
+# 1e-12..1e-2. The Gram route's s_n (error near eps_mach kappa^2) and the
+# difference of two computed inverses (near eps_mach kappa ||A^-1||) are
+# rounding here; a checker that reads them blames the library (exit code 2)
+# or refuses a matrix TOL_PD accepts.
+_EPS_OVER_LAMBDA_MIN = [10.0**k for k in range(-12, -1, 2)]
+
+
+def _ill_conditioned_cases():
+    rng = np.random.default_rng(16)
+    for dim in (2, 4, 6, 8, 10):
+        for log_kappa in range(5, 11):
+            for _ in range(4):
+                yield random_spd(rng, dim, 10.0**log_kappa), random_symmetric_unit(rng, dim)
+
+
+def test_woodbury_reads_an_accurate_smin_on_ill_conditioned_inputs():
+    wrong = []
+    for m, e in _ill_conditioned_cases():
+        kappa = condition_number(m)  # TOL_PD accepts M
+        lam_min = np.linalg.eigvalsh(m)[0]
+        for eps in _EPS_OVER_LAMBDA_MIN:
+            condition_number(m + eps * e)  # and M + eps E
+            try:
+                r = check_woodbury_norm(m, e, eps)
+            except NotInvertible as exc:
+                wrong.append((len(m), kappa, eps, str(exc)))
+                continue
+            if r.preconditions_met and not r.holds:
+                wrong.append((len(m), kappa, eps, r.lhs, r.rhs))
+            # rhs = 2 / s_n, within 10 * 2n * eps_mach * kappa of numpy's
+            if abs(2.0 / r.rhs - lam_min) > 10.0 * len(m) * np.finfo(float).eps * kappa * lam_min:
+                wrong.append((len(m), kappa, eps, 2.0 / r.rhs, lam_min))
+    assert wrong == []
+
+
+def test_inv_lemma_holds_on_ill_conditioned_inputs():
+    wrong = []
+    for m, e in _ill_conditioned_cases():
+        for eps in _EPS_OVER_LAMBDA_MIN:
+            r = check_inv_lemma(m, m + eps * e)
+            if r.preconditions_met and not r.holds:
+                wrong.append((len(m), condition_number(m), eps, r.lhs, r.rhs))
+    assert wrong == []
 
 
 class TestKappaGrowth:

@@ -125,18 +125,18 @@ _KERNEL_RUNS = {
 _GATE_RUNS = {
     "williamson": 8, "symplectic_spectrum": 5,
     "bound_spectrum": 14, "bound_spectrum.frobenius": 12, "bound_spectrum.trace": 14,
-    "bound_bhatia_jain": 14, "bound_S": 15, "bound_gram": 16,
+    "bound_bhatia_jain": 14, "bound_S": 14, "bound_gram": 15,
     "check_sqrt_lemma": 8, "check_sqrt_lemma.frobenius": 7, "check_sqrt_lemma.trace": 8,
     "check_inv_lemma": 8, "check_inv_lemma.frobenius": 8, "check_inv_lemma.trace": 12,
-    "check_woodbury_norm": 8, "check_kappa_growth": 7, "check_eigvec_bound": 6,
-    "check_projection_bound": 8, "entanglement_entropy": 5, "entropy_difference_bound": 12,
-    "sweep": 64, "sweep.spectrum": 60, "sweep.bhatia_jain": 60, "sweep.gram": 68,
-    "sweep.sqrt_lemma": 36, "sweep.inv_lemma": 36, "sweep.woodbury": 36,
-    "sweep.kappa_growth": 32, "sweep.eigvec": 28,
+    "check_woodbury_norm": 5, "check_kappa_growth": 6, "check_eigvec_bound": 5,
+    "check_projection_bound": 6, "entanglement_entropy": 5, "entropy_difference_bound": 12,
+    "sweep": 59, "sweep.spectrum": 59, "sweep.bhatia_jain": 59, "sweep.gram": 63,
+    "sweep.sqrt_lemma": 35, "sweep.inv_lemma": 35, "sweep.woodbury": 23,
+    "sweep.kappa_growth": 27, "sweep.eigvec": 23,
     "norm.operator": 2, "norm.frobenius": 1, "norm.trace": 2,
     "sym_eig": 1, "psd_sqrt": 1, "spd_inverse": 2, "singular_values": 2, "condition_number": 2,
     "is_symplectic": 3, "gauge_align": 5, "validate_covariance": 5, "is_pure": 5,
-    "GaussianState.create": 5, "PerturbationCase": 6, "degenerate_demo": 16,
+    "GaussianState.create": 5, "PerturbationCase": 5, "degenerate_demo": 16,
 }
 
 

@@ -139,8 +139,6 @@ def format_matrix(m) -> str:
 
 
 def _json_value(obj) -> str:
-    import json as _json
-
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -150,10 +148,12 @@ def _json_value(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         return fmt_float(x) if np.isfinite(x) else "null"
-    if isinstance(obj, str):
-        return _json.dumps(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{_json.dumps(str(k))}: {_json_value(v)}" for k, v in obj.items())
+    if isinstance(obj, (str, dict)):
+        import json  # to quote strings alone, so that a text report loads none
+
+        if isinstance(obj, str):
+            return json.dumps(obj)
+        items = ", ".join(f"{json.dumps(str(k))}: {_json_value(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_json_value(v) for v in obj) + "]"
@@ -334,11 +334,9 @@ def _cmd_spectrum(args, out) -> int:
 
 
 def _cmd_decompose(args, out) -> int:
-    from .symplectic import RESIDUAL_TOL, williamson
+    from .symplectic import _williamson
 
-    fac = williamson(load_matrix(args.matrix))
-    scale = max(1.0, float(np.max(np.abs(fac.d))))
-    ok = fac.residual_diag <= RESIDUAL_TOL * scale and fac.residual_symp <= RESIDUAL_TOL
+    fac, ok = _williamson(load_matrix(args.matrix))
     report = {
         "n_modes": fac.n_modes,
         "d": list(fac.d),

@@ -112,13 +112,16 @@ def is_symplectic(s, tol: float = RESIDUAL_TOL) -> bool:
     product overflows, the residual is not finite and the answer is False.
     """
     m = _square(s)
-    n = _even_dim(m)
+    resid = _symplectic_residual(m, _even_dim(m))
+    return resid < math.inf and resid <= tol
+
+
+def _symplectic_residual(s: np.ndarray, n: int) -> float:
+    # ||S^T sigma S - sigma||_op of a gated S of dimension 2n; inf past the float range.
     sigma = standard_form(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = m.T @ sigma @ m - sigma
-    if not np.isfinite(resid).all():
-        return False
-    return norm(resid, NormKind.OPERATOR) <= tol
+        resid = s.T @ sigma @ s - sigma
+    return norm(resid, NormKind.OPERATOR) if np.isfinite(resid).all() else math.inf
 
 
 def symplectic_spectrum(m) -> np.ndarray:
@@ -344,9 +347,7 @@ def _williamson_core(scaled) -> tuple[np.ndarray, np.ndarray]:
     k = np.column_stack(xs + ys)
     ortho_defect = _orthogonality_defect(k)
     if ortho_defect > RESIDUAL_TOL:
-        raise PairingFailure(
-            f"assembled basis is not orthogonal: defect {ortho_defect:.3e}"
-        )
+        raise PairingFailure(f"assembled basis is not orthogonal: defect {ortho_defect:.3e}")
 
     s = inv_root @ (k * np.sqrt(np.concatenate([d, d])))
     return s, d
@@ -362,20 +363,21 @@ def williamson(m) -> WilliamsonFactorization:
     by canonical-basis seeds. d passes the invariant checks of
     ``symplectic_spectrum`` before S is formed.
     """
-    mat, n, exp, _ = scaled = _scaled_spd(_symmetric(m))
+    return _williamson(m)[0]
+
+
+def _williamson(m) -> tuple[WilliamsonFactorization, bool]:
+    # williamson(m) and whether it keeps the residual promise, residual_diag
+    # <= RESIDUAL_TOL * ||M||_op and residual_symp <= RESIDUAL_TOL, judged at
+    # M / 4^j against the lambda_max its gate solved: no solve, no overflow.
+    mat, n, exp, spec = scaled = _scaled_spd(_symmetric(m))
     s, d = _williamson_core(scaled)
-    # d and residual_diag scale back by 4^j.
-    sigma = standard_form(n)
-    d_full = np.concatenate([d, d])
-    residual_diag = norm(s.T @ mat @ s - np.diag(d_full), NormKind.OPERATOR)
-    residual_symp = norm(s.T @ sigma @ s - sigma, NormKind.OPERATOR)
+    residual_diag = norm(s.T @ mat @ s - np.diag(np.concatenate([d, d])), NormKind.OPERATOR)
+    residual_symp = _symplectic_residual(s, n)
+    ok = residual_diag <= RESIDUAL_TOL * _extremes(spec, 0)[1] and residual_symp <= RESIDUAL_TOL
     return WilliamsonFactorization(
-        n_modes=n,
-        S=s,
-        d=_unscale(d, exp),
-        residual_diag=math.ldexp(residual_diag, exp),
-        residual_symp=residual_symp,
-    )
+        n, s, _unscale(d, exp), math.ldexp(residual_diag, exp), residual_symp
+    ), ok
 
 
 def symplectic_inverse(s) -> np.ndarray:

@@ -78,6 +78,36 @@ def random_symplectic(rng, n_modes):
     return williamson(random_spd_generic(rng, 2 * n_modes)).S
 
 
+def squeezed_states(count=600, seed=2033):
+    """Covariance matrices M = S diag(d, d) S^T of physical squeezed states.
+
+    Per state n ~ U{1..4}, r_k ~ U(0, 6) and d_k ~ U(1, 3); S = O_1 diag(e^r,
+    e^-r) O_2, each orthosymplectic O_j = [[X, -Y], [Y, X]] from a random
+    unitary X + iY. kappa(M) runs up to about 3e10.
+    """
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(count):
+        n = int(rng.integers(1, 5))
+        r = rng.uniform(0.0, 6.0, n)
+        d = rng.uniform(1.0, 3.0, n)
+        o1, o2 = (_orthosymplectic(_random_unitary(rng, n)) for _ in range(2))
+        s = o1 @ np.diag(np.exp(np.concatenate([r, -r]))) @ o2
+        m = s @ np.diag(np.concatenate([d, d])) @ s.T
+        states.append((m + m.T) / 2.0)
+    return states
+
+
+def _random_unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _orthosymplectic(u):
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
 def williamson_form(rng, d_values):
     """SPD matrix with prescribed symplectic spectrum d_values."""
     n = len(d_values)

@@ -157,6 +157,24 @@ class TestCommands:
         assert code == 0
         assert float(text.splitlines()[0]) == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_decompose_judges_residual_diag_against_the_operator_norm(self, fmt):
+        # A squeezed state (conftest.squeezed_states()[427]) with kappa 3.9e7,
+        # d_1 1.7 and ||M||_op 8.0e3: residual_diag 7.9e-8 is 1e-11 of
+        # ||M||_op, and a verdict on the scale max(1, d_1) would be false.
+        code, text = _run_text(["--format", fmt, "decompose", str(DATA / "squeezed4e7.txt")])
+        assert code == 0
+        ok = json.loads(text)["residuals_ok"] if fmt == "json" else text.splitlines()[-1]
+        assert ok in (True, "residuals_ok=true")
+
+    def test_decompose_past_the_largest_float(self, tmp_path):
+        # ||M||_op = 1.9e308 passes the largest float; the verdict is still read.
+        path = tmp_path / "big.txt"
+        path.write_text("1e308 9e307\n9e307 1e308\n")
+        code, text = _run_text(["decompose", str(path)])
+        assert code == 0
+        assert text.splitlines()[-1] == "residuals_ok=true"
+
     def test_decompose_reports_residuals(self):
         code, text = _run_text(["decompose", str(DATA / "spd4.txt")])
         assert code == 0

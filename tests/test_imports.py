@@ -18,35 +18,45 @@ _SRC = Path(__file__).parent.parent / "src"
 
 # The sympspec.* modules that a fresh interpreter holds after it runs each
 # statement: a bare package import, then the six commands the benchmark's
-# cold CLI workload runs, each through cli.run in its own process.
+# cold CLI workload runs, each through cli.run in its own process, and
+# whether it holds json. A text report loads no json; a JSON report does.
 _CORE = {"sympspec", "sympspec.densemat", "sympspec.errors"}
 _CLI = _CORE | {"sympspec.cli", "sympspec.symplectic"}
 _LOADED = {
-    "import": (None, _CORE),
-    "spectrum": (["spectrum", "spd4"], _CLI),
-    "decompose": (["decompose", "spd4"], _CLI),
-    "check": (["check", "sqrt", "-m", "spd4", "-p", "spd4p"], _CLI | {"sympspec.perturb"}),
+    "import": (None, _CORE, False),
+    "spectrum": (["spectrum", "spd4"], _CLI, False),
+    "decompose": (["decompose", "spd4"], _CLI, False),
+    "decompose.json": (["--format", "json", "decompose", "spd4"], _CLI, True),
+    "check": (
+        ["check", "sqrt", "-m", "spd4", "-p", "spd4p"], _CLI | {"sympspec.perturb"}, False
+    ),
     "sweep": (
         ["sweep", "woodbury", "-m", "spd4", "-e", "e4", "--eps", "1e-4:1e-3:3"],
         _CLI | {"sympspec.perturb"},
+        False,
     ),
-    "entropy": (["entropy", "gamma3"], _CLI | {"sympspec.gaussian"}),
+    "entropy": (["entropy", "gamma3"], _CLI | {"sympspec.gaussian"}, False),
     "counterexample": (
         ["counterexample", "--x", "100", "--eps", "0.05", "--c", "1"],
         _CLI | {"sympspec.perturb"},
+        False,
     ),
 }
 
+# The child takes the command as its arguments, none for the bare import,
+# and loads json only after it has looked.
 _CHILD = """
-import io, json, sys
-argv = json.loads(sys.argv[1])
+import io, sys
+argv = sys.argv[1:] or None
 code = None
 if argv is None:
     import sympspec
 else:
     from sympspec import cli
     code = cli.run(argv, out=io.StringIO())
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sympspec")]))
+has_json = "json" in sys.modules
+import json
+print(json.dumps([code, has_json, sorted(m for m in sys.modules if m.split(".")[0] == "sympspec")]))
 """
 
 
@@ -57,20 +67,19 @@ def _data_path(arg):
 
 @pytest.mark.parametrize("name", list(_LOADED))
 def test_cold_process_loads_only_what_it_runs(name):
-    argv, want = _LOADED[name]
-    if argv is not None:
-        argv = [_data_path(arg) for arg in argv]
+    argv, want, want_json = _LOADED[name]
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(argv)],
+        [sys.executable, "-c", _CHILD, *[_data_path(arg) for arg in argv or ()]],
         env=dict(os.environ, PYTHONPATH=str(_SRC)),
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    code, loaded = json.loads(proc.stdout)
+    code, has_json, loaded = json.loads(proc.stdout)
     assert code in (None, 0), proc.stderr
     assert set(loaded) == want
+    assert has_json is want_json
 
 
 def test_every_export_is_its_defining_modules_object():

@@ -14,6 +14,7 @@ from conftest import (
     random_spd_generic,
     random_symmetric_unit,
     random_symplectic,
+    squeezed_states,
     williamson_form,
 )
 from sympspec import densemat, symplectic
@@ -539,6 +540,46 @@ class TestOrthogonalityGate:
         degenerate = williamson_form(np.random.default_rng(48), [2.0, 2.0, 1.0])
         for m in _criterion_1_corpus(20) + [np.eye(2), degenerate]:
             williamson(m)
+
+
+def _promise_corpus():
+    # Criterion 1's style, its 1e10 frontier (three of these six break the
+    # promise without raising), and the squeezed family (kappa to 3e10,
+    # ||M||_op far above d_1), each state also moved by 2^+-600.
+    seeds = (1000, 1002, 1003, 1004, 1005)   # 1001 raises PairingFailure
+    frontier = [random_spd(np.random.default_rng(seed), 20, 1e10) for seed in seeds]
+    squeezed = squeezed_states()
+    scaled = [np.ldexp(m, k) for m in squeezed[:20] for k in (-600, 600)]
+    return _criterion_1_corpus(100) + frontier + squeezed + scaled
+
+
+class TestResidualPromise:
+    """_williamson's verdict is the promise of README's numerical notes:
+    residual_diag <= RESIDUAL_TOL ||M||_op and residual_symp <= RESIDUAL_TOL."""
+
+    def test_verdict_is_the_promise(self):
+        verdicts = []
+        for m in _promise_corpus():
+            fac, ok = symplectic._williamson(m)
+            diag_ok = fac.residual_diag <= 1e-8 * norm(m, NormKind.OPERATOR)
+            assert ok == (diag_ok and fac.residual_symp <= 1e-8)
+            verdicts.append(ok)
+        assert verdicts.count(False) == 3
+
+    def test_williamson_returns_the_first_item(self):
+        for m in _criterion_1_corpus(20) + squeezed_states(50):
+            got, (want, _) = williamson(m), symplectic._williamson(m)
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+    def test_verdict_past_the_largest_float(self):
+        # ||M||_op = 1.9e308 passes the largest float; that of M / 4^j does not.
+        m = np.array([[1e308, 9e307], [9e307, 1e308]])
+        with pytest.raises(NonFinite):
+            norm(m, NormKind.OPERATOR)
+        fac, ok = symplectic._williamson(m)
+        assert ok and fac.residual_diag <= 1e-8 * 1.7e308
 
 
 class TestSymplecticInverse:
